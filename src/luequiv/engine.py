@@ -5,15 +5,15 @@ The pipeline follows the trace-decomposition protocol:
 1. preflight: global and single-qubit marginal spectra must agree.
 2. both states are rotated into their marginal eigenframes (trace forms).
 3. the residual eigenframe freedom is a diagonal phase diag(e^{iw}, e^{-iw})
-   per qubit, so the trace forms are compared in Pauli-coefficient space
-   where that freedom is a planar rotation of each (x, y) coefficient pair;
-   phase_match searches the torus of per-qubit angles.
+   per qubit, which multiplies each trace-form entry by a phase linear in
+   the angles; phase_match solves those linear equations exactly over the
+   integers (Smith form) and checks the finitely many solution branches.
 4. a successful match is turned into explicit witness unitaries
    U_i = V'_i diag(e^{iw_i}, e^{-iw_i}) V_i^dag whose residual is recomputed
    from the original inputs before an Equivalent verdict is issued.
 
 Qubits with (near-)degenerate marginals admit a full SU(2) freedom instead of
-a phase, which the torus search cannot see.  Those instances come back
+a phase, which the phase solve cannot see.  Those instances come back
 Indeterminate unless the optional per-qubit SU(2) fallback search is enabled.
 """
 
@@ -23,9 +23,14 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .linalg import dagger, eig_hermitian_2x2, frobenius_distance, kron_all
-from .oracle import euler_unitary, make_rng
-from .pauli import expand
+from .linalg import (
+    dagger,
+    eig_hermitian_2x2,
+    euler_unitary,
+    frobenius_distance,
+    kron_all,
+    make_rng,
+)
 from .states import NQubitState, reduced_qubit
 from .traceform import TraceForm, to_trace_form
 
@@ -39,7 +44,6 @@ BY_TRACE_FORM = "by_trace_form"
 
 MATCHED = "matched"
 NO_SOLUTION = "no_solution"
-BUDGET_EXCEEDED = "budget_exceeded"
 
 
 class EngineInconsistencyError(RuntimeError):
@@ -48,23 +52,19 @@ class EngineInconsistencyError(RuntimeError):
 
 @dataclass(frozen=True)
 class EngineConfig:
-    """Tolerances and search budgets of the decision procedure.
+    """Tolerances of the decision procedure and the SU(2) fallback budget.
 
     tol is the Frobenius decision tolerance applied to witness residuals and
     to the trace-form comparison; spectrum_tol guards the preflight spectra;
     degeneracy_tol is the marginal eigenvalue gap below which a qubit counts
-    as maximally mixed.  The phase search uses grid_points per free angle,
-    exhausts at most max_exhaustive_angles of them jointly, and polishes with
-    exact per-coordinate minimization.  The SU(2) fallback is off by default.
+    as maximally mixed.  The phase solve is exact and has no budget.  The
+    SU(2) fallback is off by default; it runs fallback_restarts seeded
+    restarts of at most fallback_sweeps coordinate sweeps each.
     """
 
     tol: float = 1e-9
     spectrum_tol: float = 1e-9
     degeneracy_tol: float = 1e-10
-    anchor_floor: float = 1e-7
-    grid_points: int = 64
-    max_exhaustive_angles: int = 3
-    max_sweeps: int = 100
     fallback: bool = False
     fallback_restarts: int = 16
     # coordinate descent converges linearly with an instance-dependent rate;
@@ -101,9 +101,18 @@ class PhaseAssignment:
 
 @dataclass(frozen=True)
 class PhaseMatchResult:
+    """Outcome of the phase solve.
+
+    branches counts the solutions of the chosen equations (0 when the
+    modulus bound already decided); min_modulus is the smallest entry
+    modulus among them, None when no equation was needed.
+    """
+
     status: str
     assignment: PhaseAssignment | None
     residual: float
+    branches: int = 0
+    min_modulus: float | None = None
 
 
 @dataclass(frozen=True)
@@ -164,229 +173,175 @@ def to_marginal_spectra(state: NQubitState) -> list[np.ndarray]:
 
 
 # ---------------------------------------------------------------------------
-# phase matching in coefficient space
+# exact phase solve on trace-form entries
 # ---------------------------------------------------------------------------
 
+# Equations are sought among this many heaviest entries first; all entries are
+# scanned only when these leave a phase direction unpinned.  The size affects
+# speed only: every branch that survives the slice gets the full residual.
+_SLICE = 64
 
-class _PhaseProblem:
-    """Index bookkeeping for the per-qubit phase torus search.
 
-    Works on the flat Pauli coefficient vectors of the two trace forms.  For
-    qubits in `mixed` the full SU(2) freedom makes every non-identity
-    component incomparable, so the objective is restricted to multi-indices
-    whose digits are 0 on all mixed qubits.
+def smith_form(s) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Smith normal form of an integer matrix: u @ s @ v = diag(d), zero-padded.
+
+    u and v are unimodular integer matrices; d holds the positive invariant
+    factors, one per unit of rank, each dividing the next.
     """
-
-    def __init__(self, n: int, ca: np.ndarray, cb: np.ndarray, mixed: tuple[int, ...]):
-        self.n = n
-        self.ca = ca
-        self.cb = cb
-        idx = np.arange(4**n)
-        digits = np.stack([(idx >> (2 * (n - 1 - k))) & 3 for k in range(n)]).astype(np.uint8)
-        mixed0 = [m - 1 for m in mixed]
-        self.active = np.array([k + 1 not in mixed for k in range(n)])
-        comparable = np.ones(4**n, dtype=bool)
-        for m in mixed0:
-            comparable &= digits[m] == 0
-        self.cmp_idx = np.flatnonzero(comparable)
-
-        self.pairs = {}
-        anchor_pairs = {}
-        for k in range(n):
-            if not self.active[k]:
-                continue
-            stride = 1 << (2 * (n - 1 - k))
-            base = comparable & (digits[k] == 1)
-            xk = np.flatnonzero(base)
-            self.pairs[k] = (xk, xk + stride)
-            isolated = base.copy()
-            for j in range(n):
-                if j != k and self.active[j]:
-                    isolated &= (digits[j] == 0) | (digits[j] == 3)
-            xa = np.flatnonzero(isolated)
-            anchor_pairs[k] = (xa, xa + stride)
-        self.anchor_pairs = anchor_pairs
-
-        rotating = np.zeros(4**n, dtype=bool)
-        keys = idx.copy()
-        for k in range(n):
-            if not self.active[k]:
-                continue
-            stride = 1 << (2 * (n - 1 - k))
-            in_plane = (digits[k] == 1) | (digits[k] == 2)
-            rotating |= comparable & in_plane
-            keys = keys - stride * ((digits[k] == 2) & comparable)
-        self.rot_idx = np.flatnonzero(rotating)
-        self.static_idx = np.flatnonzero(comparable & ~rotating)
-        self.rot_keys = keys[self.rot_idx]
-
-    def block_norm_gap(self) -> float:
-        """Largest invariant mismatch any phase assignment must leave behind.
-
-        Rotations preserve the Euclidean norm of every orbit of coefficient
-        indices under x<->y swaps on active qubits, and leave static indices
-        untouched, so a gap here proves no assignment reaches zero residual.
-        """
-        gap = 0.0
-        if self.static_idx.size:
-            gap = float(np.max(np.abs(self.ca[self.static_idx] - self.cb[self.static_idx])))
-        if self.rot_idx.size:
-            acc_a = np.zeros(4**self.n)
-            acc_b = np.zeros(4**self.n)
-            np.add.at(acc_a, self.rot_keys, self.ca[self.rot_idx] ** 2)
-            np.add.at(acc_b, self.rot_keys, self.cb[self.rot_idx] ** 2)
-            gap = max(gap, float(np.max(np.abs(np.sqrt(acc_a) - np.sqrt(acc_b)))))
-        return gap
-
-    def rotate(self, cur: np.ndarray, k: int, delta: float) -> None:
-        xk, yk = self.pairs[k]
-        co, si = np.cos(2.0 * delta), np.sin(2.0 * delta)
-        zx = cur[xk].copy()
-        zy = cur[yk]
-        cur[xk] = co * zx + si * zy
-        cur[yk] = -si * zx + co * zy
-
-    def best_delta(self, cur: np.ndarray, k: int) -> float:
-        """Exact minimizer of the residual over the angle of qubit k.
-
-        With all other angles held, the squared residual is
-        const - 2 (A cos 2d + B sin 2d), so the optimum is closed-form.
-        """
-        xk, yk = self.pairs[k]
-        zx, zy = cur[xk], cur[yk]
-        wx, wy = self.cb[xk], self.cb[yk]
-        aa = float(zx @ wx + zy @ wy)
-        bb = float(zy @ wx - zx @ wy)
-        if aa == 0.0 and bb == 0.0:
-            return 0.0
-        return 0.5 * float(np.arctan2(bb, aa))
-
-    def residual_sq(self, cur: np.ndarray) -> float:
-        d = cur[self.cmp_idx] - self.cb[self.cmp_idx]
-        return float(d @ d)
-
-    def apply_omegas(self, omegas: np.ndarray) -> np.ndarray:
-        cur = self.ca.copy()
-        for k in range(self.n):
-            if self.active[k] and omegas[k] != 0.0:
-                self.rotate(cur, k, omegas[k])
-        return cur
-
-    def sweep(self, cur: np.ndarray, omegas: np.ndarray, max_sweeps: int) -> None:
-        """Cyclic exact coordinate descent until the residual stalls."""
-        ks = [k for k in range(self.n) if self.active[k]]
-        prev = self.residual_sq(cur)
-        for _ in range(max_sweeps):
-            for k in ks:
-                d = self.best_delta(cur, k)
-                if d != 0.0:
-                    self.rotate(cur, k, d)
-                    omegas[k] += d
-            now = self.residual_sq(cur)
-            if prev - now <= 1e-30:
+    a = np.array(s, dtype=np.int64)
+    rows, cols = a.shape
+    u = np.eye(rows, dtype=np.int64)
+    v = np.eye(cols, dtype=np.int64)
+    d = []
+    for t in range(min(rows, cols)):
+        while True:
+            sub = a[t:, t:]
+            nz = np.argwhere(sub)
+            if nz.size == 0:
+                return u, np.array(d, dtype=np.int64), v
+            i, j = nz[np.argmin(np.abs(sub[nz[:, 0], nz[:, 1]]))] + t
+            a[[t, i]] = a[[i, t]]
+            u[[t, i]] = u[[i, t]]
+            a[:, [t, j]] = a[:, [j, t]]
+            v[:, [t, j]] = v[:, [j, t]]
+            p = a[t, t]
+            q = a[t + 1 :, t] // p
+            a[t + 1 :] -= np.outer(q, a[t])
+            u[t + 1 :] -= np.outer(q, u[t])
+            q = a[t, t + 1 :] // p
+            a[:, t + 1 :] -= np.outer(a[:, t], q)
+            v[:, t + 1 :] -= np.outer(v[:, t], q)
+            if a[t + 1 :, t].any() or a[t, t + 1 :].any():
+                continue  # nonzero remainders are smaller than p: pivot on one
+            rest = np.argwhere(a[t + 1 :, t + 1 :] % p)
+            if rest.size == 0:
                 break
-            prev = now
+            # a row holding a non-multiple of p, added to the pivot row, leaves
+            # a smaller remainder in the next pass
+            i = t + 1 + rest[0, 0]
+            a[t] += a[i]
+            u[t] += u[i]
+        if a[t, t] < 0:
+            a[t] = -a[t]
+            u[t] = -u[t]
+        d.append(a[t, t])
+    return u, np.array(d, dtype=np.int64), v
 
 
-def phase_match(
-    t: TraceForm,
-    t_prime: TraceForm,
-    tol: float,
-    config: EngineConfig = DEFAULT_CONFIG,
-) -> PhaseMatchResult:
-    """Search the per-qubit phase torus aligning two trace forms.
+def _trace_out(m: np.ndarray, n: int, keep: np.ndarray) -> np.ndarray:
+    """Partial trace of an n-qubit matrix over every qubit not flagged in keep."""
+    if keep.all():
+        return m
+    letters = "abcdefghijklmnopqrstuvwxyz"
+    rows = letters[:n]
+    cols = "".join(letters[n + k] if keep[k] else letters[k] for k in range(n))
+    out = "".join(rows[k] for k in range(n) if keep[k]) + "".join(
+        cols[k] for k in range(n) if keep[k]
+    )
+    size = 2 ** int(keep.sum())
+    return np.einsum(f"{rows}{cols}->{out}", m.reshape((2,) * (2 * n))).reshape(size, size)
 
-    Anchors are extracted first: for each non-degenerate qubit the largest
-    (x, y) coefficient pair whose other active digits are in {0, z} pins the
-    angle analytically.  Unanchored angles go through a coarse grid (at most
-    max_exhaustive_angles of them exhaustively, coordinate sweeps otherwise),
-    and the final assignment is polished by exact coordinate minimization.
 
-    The residual is reported in Frobenius units of the reconstructed
-    matrices.  no_solution is only returned when the search provably covered
-    the torus at grid resolution: either an invariant block norm differs, or
-    every free angle was exhausted.
+def _entry_rows(flat: np.ndarray, m: int) -> np.ndarray:
+    """Bit-string differences c - r of the entries at flat indices r * 2**m + c."""
+    r, c = np.divmod(flat, 2**m)
+    shifts = np.arange(m - 1, -1, -1)
+    return ((c[:, None] >> shifts) & 1) - ((r[:, None] >> shifts) & 1)
+
+
+def _pinning_equations(flat: np.ndarray, weight: np.ndarray, m: int):
+    """Heaviest-first independent equations among the entries at flat.
+
+    Returns their flat indices and coefficient rows.  Greedy selection keeps
+    every entry of flat in the span of chosen equations at least as heavy as
+    itself, so no entry's phase rests on a lighter one.
+    """
+    order = flat[np.argsort(-weight[flat], kind="stable")]
+    rows = _entry_rows(order, m)
+    _, first = np.unique(rows @ 3 ** np.arange(m), return_index=True)
+    chosen: list[int] = []
+    for k in np.sort(first):
+        if len(chosen) == m:
+            break
+        if np.linalg.matrix_rank(rows[chosen + [k]]) > len(chosen):
+            chosen.append(int(k))
+    return order[chosen], rows[chosen]
+
+
+def phase_match(t: TraceForm, t_prime: TraceForm, tol: float) -> PhaseMatchResult:
+    """Solve exactly for the per-qubit phases aligning two trace forms.
+
+    Conjugating by (x)_k diag(e^{iw_k}, e^{-iw_k}) multiplies entry (r, c) by
+    e^{2i<c-r, w>}, where c - r is the difference of the index bit strings.
+    Every entry modulus is therefore invariant, and each nonzero entry gives
+    one equation <c-r, w> = arg(rho'_rc / rho_rc) / 2 (mod pi) with
+    coefficients in {-1, 0, 1}.  Maximally mixed qubits carry no phase and
+    are traced out first.  The solve:
+
+    1. the Frobenius norm of the entrywise modulus gap is a lower bound of
+       every assignment's residual; above tol it proves no_solution;
+    2. equations are chosen greedily by min(|rho_rc|, |rho'_rc|) until they
+       reach the rank of all entries above a floor.  Entries below it, taken
+       together, move any residual by at most tol / 2;
+    3. a Smith form u S v = diag(d) of the chosen equations gives all prod(d)
+       of their solutions on the torus, the branches;
+    4. each branch is scored on the heaviest entries, a lower bound of its
+       residual.  Survivors get the full residual, and the first within tol
+       is matched.  no_solution means that no branch is.
+
+    The residual is the Frobenius distance of the matrices reduced to the m
+    non-mixed of n qubits, divided by 2^((n-m)/2): the distance of those
+    reductions tensored with the maximally mixed state.
     """
     n = t.state.n
     if n != t_prime.state.n:
         raise ValueError(f"qubit counts differ: {n} vs {t_prime.state.n}")
-    mixed = tuple(
-        f.qubit
-        for f, g in zip(t.frames, t_prime.frames)
-        if f.maximally_mixed or g.maximally_mixed
+    active = np.array(
+        [not (f.maximally_mixed or g.maximally_mixed) for f, g in zip(t.frames, t_prime.frames)]
     )
-    ca = expand(t.state).c
-    cb = expand(t_prime.state).c
-    problem = _PhaseProblem(n, ca, cb, mixed)
-    scale = 2.0 ** (n / 2.0)
-    tol_c = tol / scale
+    a = _trace_out(t.state.matrix, n, active)
+    b = _trace_out(t_prime.state.matrix, n, active)
+    m = int(active.sum())
+    scale = 2.0 ** ((n - m) / 2.0)
+    tol_r = tol * scale
 
-    def finish(omegas: np.ndarray, covered: bool) -> PhaseMatchResult:
-        omegas = np.where(problem.active, np.mod(omegas, np.pi), 0.0)
-        cur = problem.apply_omegas(omegas)
-        residual = scale * float(np.sqrt(problem.residual_sq(cur)))
-        if residual <= tol:
-            omegas = omegas.copy()
-            omegas.flags.writeable = False
-            assignment = PhaseAssignment(omegas=omegas, active=problem.active.copy())
-            return PhaseMatchResult(status=MATCHED, assignment=assignment, residual=residual)
-        status = NO_SOLUTION if covered else BUDGET_EXCEEDED
-        return PhaseMatchResult(status=status, assignment=None, residual=residual)
+    abs_a, abs_b = np.abs(a), np.abs(b)
+    bound = float(np.linalg.norm(abs_a - abs_b))
+    if bound > tol_r:
+        return PhaseMatchResult(status=NO_SOLUTION, assignment=None, residual=bound / scale)
 
-    if problem.block_norm_gap() > tol_c:
-        gap = scale * problem.block_norm_gap()
-        return PhaseMatchResult(status=NO_SOLUTION, assignment=None, residual=gap)
+    weight = np.triu(np.minimum(abs_a, abs_b), 1).ravel()
+    floor = tol_r / 2.0 ** (m + 2)
+    top = np.argpartition(weight, -min(_SLICE, weight.size))[-_SLICE:]
+    top = top[weight[top] > floor]
+    eq, rows = _pinning_equations(top, weight, m)
+    if len(eq) < m and top.size == _SLICE:
+        eq, rows = _pinning_equations(np.flatnonzero(weight > floor), weight, m)
 
-    omegas = np.zeros(n)
-    unresolved = []
-    for k in range(n):
-        if not problem.active[k]:
-            continue
-        xa, ya = problem.anchor_pairs[k]
-        if xa.size == 0:
-            unresolved.append(k)
-            continue
-        mag = np.minimum(np.hypot(ca[xa], ca[ya]), np.hypot(cb[xa], cb[ya]))
-        best = int(np.argmax(mag))
-        if mag[best] < config.anchor_floor:
-            unresolved.append(k)
-            continue
-        pa = np.arctan2(ca[ya[best]], ca[xa[best]])
-        pb = np.arctan2(cb[ya[best]], cb[xa[best]])
-        omegas[k] = 0.5 * (pa - pb)
-
-    if not unresolved:
-        cur = problem.apply_omegas(omegas)
-        problem.sweep(cur, omegas, config.max_sweeps)
-        return finish(omegas, covered=True)
-
-    if len(unresolved) <= config.max_exhaustive_angles:
-        # exhaust all but the last free angle on the grid; the last one is
-        # minimized exactly per grid point
-        grid = np.pi * np.arange(config.grid_points) / config.grid_points
-        outer, last = unresolved[:-1], unresolved[-1]
-        best = None
-        for combo in np.ndindex(*(config.grid_points,) * len(outer)):
-            trial = omegas.copy()
-            for k, g in zip(outer, combo):
-                trial[k] = grid[g]
-            cur = problem.apply_omegas(trial)
-            d = problem.best_delta(cur, last)
-            problem.rotate(cur, last, d)
-            trial[last] = d
-            f = problem.residual_sq(cur)
-            if best is None or f < best[0]:
-                best = (f, trial)
-        omegas = best[1]
-        cur = problem.apply_omegas(omegas)
-        problem.sweep(cur, omegas, config.max_sweeps)
-        return finish(omegas, covered=True)
-
-    # too many free angles for exhaustion: coordinate sweeps from the anchor
-    # point only, reported as budget-limited if they miss
-    cur = problem.apply_omegas(omegas)
-    problem.sweep(cur, omegas, config.max_sweeps)
-    return finish(omegas, covered=False)
+    u, d, v = smith_form(rows)
+    target = u @ (0.5 * np.angle(b.ravel()[eq] * np.conj(a.ravel()[eq])))
+    top_rows = _entry_rows(top, m)
+    bits = (np.arange(2**m)[:, None] >> np.arange(m - 1, -1, -1)) & 1
+    branches = int(np.prod(d))
+    min_modulus = float(weight[eq].min()) if len(eq) else None
+    best = np.inf
+    for shift in np.ndindex(*(int(x) for x in d)):
+        y = np.zeros(m)
+        y[: len(d)] = (target + np.pi * np.array(shift)) / d
+        w = np.mod(v @ y, np.pi)
+        mismatch = b.ravel()[top] - np.exp(2j * (top_rows @ w)) * a.ravel()[top]
+        score = float(np.sqrt(2.0) * np.linalg.norm(mismatch))
+        if score <= tol_r:
+            z = np.exp(2j * (bits @ w))
+            score = frobenius_distance(b, np.conj(z)[:, None] * a * z)
+            if score <= tol_r:
+                omegas = np.zeros(n)
+                omegas[active] = w
+                omegas.flags.writeable = False
+                assignment = PhaseAssignment(omegas=omegas, active=active)
+                return PhaseMatchResult(MATCHED, assignment, score / scale, branches, min_modulus)
+        best = min(best, score)
+    return PhaseMatchResult(NO_SOLUTION, None, best / scale, branches, min_modulus)
 
 
 # ---------------------------------------------------------------------------
@@ -441,7 +396,7 @@ def assemble_witness(
     """Build U_i = V'_i diag(e^{iw_i}, e^{-iw_i}) V_i^dag and re-verify it.
 
     The residual is recomputed from the original pair, never taken from the
-    phase search; a residual above tol raises EngineInconsistencyError, so a
+    phase solve; a residual above tol raises EngineInconsistencyError, so a
     successful return is a machine-checkable certificate.
     """
     us = [
@@ -481,7 +436,7 @@ def su2_fallback(
     n = a.n
     mixed = set(mixed_qubits)
 
-    pm = phase_match(ta, tb, config.tol, config)
+    pm = phase_match(ta, tb, config.tol)
     fixed_phases = pm.assignment.omegas if pm.status == MATCHED else None
 
     # coordinate layout: (qubit, kind, period) with kind "euler0/1/2" or "phase"
@@ -567,7 +522,7 @@ def decide_lu_equivalence(
     Equivalent verdicts carry witness unitaries whose residual was recomputed
     from the inputs.  NotEquivalent names the separating invariant; the
     trace-form rejection is only issued when no marginal is maximally mixed
-    and the phase search covered its torus.  Degenerate marginals yield
+    and no branch of the exact phase solve matches.  Degenerate marginals yield
     Indeterminate unless config.fallback enables the SU(2) search.
     """
     if a.n != b.n:
@@ -619,13 +574,13 @@ def decide_lu_equivalence(
         diagnostics["phase_status"] = "direct"
         return Verdict(outcome=EQUIVALENT, witness=witness, diagnostics=diagnostics)
 
-    pm = phase_match(ta, tb, config.tol, config)
+    pm = phase_match(ta, tb, config.tol)
     diagnostics["phase_status"] = pm.status
     diagnostics["phase_residual"] = pm.residual
+    diagnostics["phase_branches"] = pm.branches
+    diagnostics["phase_min_modulus"] = pm.min_modulus
     if pm.status == MATCHED:
         diagnostics["omegas"] = [float(w) for w in pm.assignment.omegas]
         witness = assemble_witness(ta, tb, pm.assignment, b, a, tol=config.tol)
         return Verdict(outcome=EQUIVALENT, witness=witness, diagnostics=diagnostics)
-    if pm.status == NO_SOLUTION:
-        return Verdict(outcome=NOT_EQUIVALENT, reason=BY_TRACE_FORM, diagnostics=diagnostics)
-    return Verdict(outcome=INDETERMINATE, budget_exhausted=True, diagnostics=diagnostics)
+    return Verdict(outcome=NOT_EQUIVALENT, reason=BY_TRACE_FORM, diagnostics=diagnostics)

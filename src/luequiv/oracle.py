@@ -16,21 +16,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
-from .linalg import dagger, frobenius_distance, kron_all
-from .states import NQubitState, bloch_vector, from_pure_amplitudes, reduced_qubit, validate_state
+from .linalg import dagger, euler_unitary, frobenius_distance, kron_all, make_rng
+from .states import NQubitState, from_pure_amplitudes, validate_state
 
 DEFAULT_MIN_BLOCH = 0.05
 NM_TOL = 1e-10
 NM_MAX_EVALS = 20000
-
-
-def make_rng(seed) -> np.random.Generator:
-    """Philox generator from an integer seed; passes Generators through."""
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.Generator(np.random.Philox(seed))
 
 
 def random_pure_amplitudes(n: int, seed) -> np.ndarray:
@@ -44,14 +36,20 @@ def random_pure_state(n: int, seed) -> NQubitState:
     return from_pure_amplitudes(random_pure_amplitudes(n, seed))
 
 
-def random_mixed_state(n: int, rank: int, seed) -> NQubitState:
-    """Ginibre-induced mixed state rho = G G^dag / Tr(G G^dag) of given rank."""
+def _ginibre_factor(n: int, rank: int, rng: np.random.Generator) -> np.ndarray:
     if not 1 <= rank <= 2**n:
         raise ValueError(f"rank {rank} out of range 1..{2**n}")
-    rng = make_rng(seed)
-    g = rng.normal(size=(2**n, rank)) + 1j * rng.normal(size=(2**n, rank))
+    return rng.normal(size=(2**n, rank)) + 1j * rng.normal(size=(2**n, rank))
+
+
+def _mixed_from_factor(g: np.ndarray) -> NQubitState:
     m = g @ dagger(g)
     return validate_state(m / np.trace(m).real)
+
+
+def random_mixed_state(n: int, rank: int, seed) -> NQubitState:
+    """Ginibre-induced mixed state rho = G G^dag / Tr(G G^dag) of given rank."""
+    return _mixed_from_factor(_ginibre_factor(n, rank, make_rng(seed)))
 
 
 def haar_local_unitary(seed) -> np.ndarray:
@@ -77,6 +75,17 @@ def apply_local_unitaries(state: NQubitState, unitaries) -> NQubitState:
     return validate_state(big @ state.matrix @ dagger(big))
 
 
+def _marginal_bloch_norms(g: np.ndarray, n: int) -> list[float]:
+    """Bloch norms of the qubit marginals of g g^dag / Tr(g g^dag)."""
+    weight = float(np.vdot(g, g).real)
+    norms = []
+    for k in range(n):
+        t = g.reshape(2**k, 2, 2 ** (n - k - 1), g.shape[1])
+        q = np.einsum("aibr,ajbr->ij", t, t.conj()) / weight
+        norms.append(float(np.hypot(q[0, 0].real - q[1, 1].real, 2.0 * abs(q[0, 1]))))
+    return norms
+
+
 def random_state_with_bloch_floor(
     n: int,
     seed,
@@ -87,27 +96,19 @@ def random_state_with_bloch_floor(
     """Rejection-sample a state whose marginal Bloch norms all reach min_bloch.
 
     rank=1 draws Haar pure states, rank>1 Ginibre mixed states.  The floor
-    keeps every marginal safely away from the maximally mixed point.
+    keeps every marginal safely away from the maximally mixed point.  The
+    Bloch norms are read off the amplitude vector or the Ginibre factor, so
+    only the accepted draw is built and validated as a state.
     """
     rng = make_rng(seed)
     for _ in range(max_tries):
-        s = random_pure_state(n, rng) if rank == 1 else random_mixed_state(n, rank, rng)
-        norms = [bloch_vector(reduced_qubit(s, i)).norm for i in range(1, n + 1)]
-        if min(norms) >= min_bloch:
-            return s
+        if rank == 1:
+            g = random_pure_amplitudes(n, rng)[:, None]
+        else:
+            g = _ginibre_factor(n, rank, rng)
+        if min(_marginal_bloch_norms(g, n)) >= min_bloch:
+            return from_pure_amplitudes(g[:, 0]) if rank == 1 else _mixed_from_factor(g)
     raise RuntimeError(f"no sample reached Bloch floor {min_bloch} in {max_tries} tries")
-
-
-def euler_unitary(alpha: float, beta: float, gamma: float) -> np.ndarray:
-    """ZYZ product e^{i alpha Z/2} e^{i beta Y/2} e^{i gamma Z/2}, written out."""
-    cb = np.cos(0.5 * beta)
-    sb = np.sin(0.5 * beta)
-    return np.array(
-        [
-            [cb * np.exp(0.5j * (alpha + gamma)), sb * np.exp(0.5j * (alpha - gamma))],
-            [-sb * np.exp(-0.5j * (alpha - gamma)), cb * np.exp(-0.5j * (alpha + gamma))],
-        ]
-    )
 
 
 @dataclass(frozen=True)
@@ -139,6 +140,8 @@ def lu_fit_oracle(
     rest are uniform random Euler angles.  When early_stop is set, restarts
     end as soon as the best residual drops below it.
     """
+    from scipy.optimize import minimize  # scipy costs more to import than the engine
+
     if a.n != b.n:
         raise ValueError(f"qubit counts differ: {a.n} vs {b.n}")
     n = a.n

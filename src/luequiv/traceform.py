@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import DEGENERACY_TOL, dagger, eig_hermitian_2x2, kron_all
-from .states import BlochVector, NQubitState, bloch_vector, reduced_qubit, validate_state
+from .states import BlochVector, NQubitState, bloch_vector, reduced_qubit
 
 
 @dataclass(frozen=True)
@@ -64,8 +64,16 @@ def local_eigenframes(
 
 
 def to_trace_form(state: NQubitState, degeneracy_tol: float = DEGENERACY_TOL) -> TraceForm:
-    """Conjugate the state into the tensor product of its marginal eigenframes."""
+    """Conjugate the state into the tensor product of its marginal eigenframes.
+
+    The result is a unitary conjugate of a validated state, so it is only
+    Hermitized, as validate_state does; its spectrum and purity are the
+    input's, both being unitary invariants.
+    """
     frames = local_eigenframes(state, degeneracy_tol=degeneracy_tol)
     w = kron_all([dagger(f.v) for f in frames])
     rotated = w @ state.matrix @ dagger(w)
-    return TraceForm(state=validate_state(rotated, max_qubits=state.n), frames=frames)
+    rotated = 0.5 * (rotated + dagger(rotated))
+    rotated.flags.writeable = False
+    form = NQubitState(n=state.n, matrix=rotated, purity=state.purity, spectrum=state.spectrum)
+    return TraceForm(state=form, frames=frames)

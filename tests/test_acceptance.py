@@ -1,4 +1,4 @@
-"""Acceptance gate: nine end-to-end criteria, one printed line each.
+"""Acceptance gate: ten end-to-end criteria, one printed line each.
 
 Every criterion prints exactly one line, "PASS: ..." or "FAIL: ...",
 with the measured quantity and its pinned tolerance, then asserts.
@@ -420,6 +420,63 @@ def test_c9_determinism():
     )
 
 
+# ------------------------------------------------------------ criterion 10
+
+
+def sparse_support_state(n: int, rng):
+    """Pure state on 2..6 random basis strings, amplitudes complex Gaussian.
+
+    Gaussian moduli make some amplitudes tiny, and sparse supports leave
+    few coherences to pin the phases; both starve a search over phases.
+    """
+    k = int(rng.integers(2, min(6, 2 ** n) + 1))
+    support = rng.choice(2 ** n, size=k, replace=False)
+    amp = np.zeros(2 ** n, dtype=complex)
+    amp[support] = rng.normal(size=k) + 1j * rng.normal(size=k)
+    return from_pure_amplitudes(amp)
+
+
+def test_c10_sparse_support_completeness():
+    """500 locally rotated sparse-support pure pairs across n in {2,3,4},
+    plus n=3 on support {0,3,5,6} with one amplitude of 0.005: no
+    not_equivalent, no indeterminate, independent residual <= 1e-9."""
+    rng = make_rng(10004)
+    pairs = []
+    for i in range(500):
+        n = (2, 3, 4)[i % 3]
+        state = sparse_support_state(n, rng)
+        pairs.append((state, apply_local_unitaries(state, [haar_local_unitary(rng) for _ in range(n)])))
+    amp = np.zeros(8, dtype=complex)
+    amp[[0, 3, 5, 6]] = [0.6, 0.5 * np.exp(0.7j), 0.005 * np.exp(2.1j), 0.62 * np.exp(-1.3j)]
+    state = from_pure_amplitudes(amp)
+    rng = make_rng(0)
+    pairs.append((state, apply_local_unitaries(state, [haar_local_unitary(rng) for _ in range(3)])))
+
+    t0 = time.monotonic()
+    rejected, abstained, loose = [], [], []
+    worst = 0.0
+    for i, (state, rotated) in enumerate(pairs):
+        verdict = decide_lu_equivalence(state, rotated)
+        if verdict.outcome == NOT_EQUIVALENT:
+            rejected.append(i)
+        elif verdict.outcome == INDETERMINATE:
+            abstained.append(i)
+        else:
+            res = direct_residual(state, rotated, verdict.witness.unitaries)
+            worst = max(worst, res)
+            if res > 1e-9:
+                loose.append((i, res))
+    elapsed = time.monotonic() - t0
+    ok = not rejected and not abstained and not loose
+    _report(
+        ok,
+        f"C10 sparse-support completeness: {len(rejected)} not_equivalent and "
+        f"{len(abstained)} indeterminate of {len(pairs)} (required 0), max residual "
+        f"{worst:.2e} <= 1e-9, {elapsed:.1f}s"
+        + (f", first {(rejected + abstained + loose)[:3]}" if not ok else ""),
+    )
+
+
 CRITERIA = [
     test_c1_completeness_on_constructed_pairs,
     test_c2_soundness_no_false_equivalence,
@@ -430,6 +487,7 @@ CRITERIA = [
     test_c7_phase_recovery,
     test_c8_degenerate_marginals_fallback,
     test_c9_determinism,
+    test_c10_sparse_support_completeness,
 ]
 
 

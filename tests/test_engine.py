@@ -35,6 +35,7 @@ from luequiv.engine import (
     NO_SOLUTION,
     NOT_EQUIVALENT,
     assemble_witness,
+    smith_form,
 )
 from luequiv.linalg import kron_all
 from tests.conftest import (
@@ -145,6 +146,70 @@ def test_phase_match_residual_matches_coefficient_distance():
     rebuilt = kron_all(mats) @ tf.state.matrix @ kron_all(mats).conj().T
     direct = float(np.linalg.norm(rebuilt - tf_twisted.state.matrix))
     assert result.residual == pytest.approx(direct, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "s,d",
+    [
+        ([[1, 1], [1, -1]], [1, 2]),
+        ([[2, 4], [6, 8]], [2, 4]),
+        ([[1, 1, 0], [0, 1, 1], [1, 0, 1]], [1, 1, 2]),
+        ([[1, -1, 1]], [1]),
+        ([[1, 1], [1, 1]], [1]),
+        ([[0, 0], [0, 0]], []),
+    ],
+)
+def test_smith_form_diagonalizes(s, d):
+    s = np.array(s)
+    u, got, v = smith_form(s)
+    assert list(got) == d
+    assert abs(round(np.linalg.det(u))) == 1 and abs(round(np.linalg.det(v))) == 1
+    want = np.zeros_like(s)
+    want[range(len(d)), range(len(d))] = d
+    assert np.array_equal(u @ s @ v, want)
+
+
+def _twisted_trace_forms(amp, omegas):
+    """Trace form of a pure state and its conjugate by the injected phases."""
+    tf = to_trace_form(from_pure_amplitudes(amp))
+    d = kron_all([phase_diag(w) for w in omegas])
+    return tf, to_trace_form(validate_state(d @ tf.state.matrix @ d.conj().T))
+
+
+def test_phase_match_sparse_support_without_anchors():
+    # support {000, 011, 101, 110}: no two strings one bit apart, so no entry
+    # pins a single qubit's phase.  Z x Z x Z fixes every even-weight string,
+    # so the phases are recovered mod pi up to a common shift of pi/2
+    amp = np.zeros(8, dtype=complex)
+    amp[[0, 3, 5, 6]] = [0.7, 0.45 * np.exp(0.4j), 0.3 * np.exp(-2.0j), 0.2 * np.exp(1.1j)]
+    omegas = np.array([0.3, 1.9, 2.6])
+    tf, tf_twisted = _twisted_trace_forms(amp, omegas)
+    result = phase_match(tf, tf_twisted, 1e-9)
+    assert result.status == MATCHED
+    diff = np.asarray(result.assignment.omegas) - omegas
+    err = min(
+        np.max(np.abs((diff - shift + np.pi / 2) % np.pi - np.pi / 2))
+        for shift in (0.0, np.pi / 2)
+    )
+    assert err < 1e-8
+
+
+def test_phase_match_two_branch_x_state():
+    # coherences only at (00, 11) and (01, 10): the equations are w1 + w2 and
+    # w1 - w2, a Smith form with d = (1, 2), so two branches
+    phi = np.array([0.8, 0, 0, 0.6 * np.exp(0.9j)])
+    psi = np.array([0, 0.9, 0.436 * np.exp(-0.5j), 0])
+    psi = psi / np.linalg.norm(psi)
+    rho = 0.7 * np.outer(phi, phi.conj()) + 0.3 * np.outer(psi, psi.conj())
+    tf = to_trace_form(validate_state(rho))
+    d = kron_all([phase_diag(0.4), phase_diag(1.3)])
+    tf_twisted = to_trace_form(validate_state(d @ tf.state.matrix @ d.conj().T))
+    result = phase_match(tf, tf_twisted, 1e-9)
+    assert result.status == MATCHED
+    assert result.branches == 2
+    rebuilt = kron_all([phase_diag(w) for w in result.assignment.omegas])
+    delta = rebuilt @ tf.state.matrix @ rebuilt.conj().T - tf_twisted.state.matrix
+    assert np.max(np.abs(delta)) < 1e-12
 
 
 # ------------------------------------------------------------------ witness

@@ -1,8 +1,17 @@
 """Random state/unitary generation and the derivative-free fitting oracle."""
 
+import ast
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import luequiv
+from luequiv import engine
 from luequiv import (
     apply_local_unitaries,
     bloch_vector,
@@ -92,6 +101,58 @@ def test_bloch_floor_generator_mixed():
     state = random_state_with_bloch_floor(2, rng, rank=2, min_bloch=0.05)
     spectrum = np.linalg.eigvalsh(state.matrix)
     assert np.sum(spectrum > 1e-10) == 2
+
+
+@pytest.mark.parametrize(
+    "seed,rank,floor,diagonal,corner",
+    [
+        # 3 draws, two rejected
+        (41, 1, 0.6,
+         [0.16828347686645323, 0.022458690473354945, 0.014097296635157366,
+          0.28473744618150365, 0.10451306341808023, 0.026772403355840645,
+          0.3068631684005525, 0.07227445466905742],
+         0.0200090815993208 - 0.10845382968751066j),
+        # 126 draws, 125 rejected
+        (42, 2, 0.5,
+         [0.016789919518784672, 0.08612451899999422, 0.1914422633532915,
+          0.027384110822243162, 0.1310325383273229, 0.2914260309825501,
+          0.12272669882968619, 0.13307391916612732],
+         -0.014932047596934249 + 0.03001824730585652j),
+    ],
+)
+def test_bloch_floor_generator_pinned_draws(seed, rank, floor, diagonal, corner):
+    # every draw, rejected or not, consumes the same stream as when each one
+    # was built and validated as a state
+    state = random_state_with_bloch_floor(3, seed, rank=rank, min_bloch=floor)
+    assert np.allclose(np.diag(state.matrix).real, diagonal, rtol=0, atol=1e-15)
+    assert abs(state.matrix[0, 7] - corner) < 1e-15
+
+
+def test_bloch_floor_generator_gives_up_fast():
+    # Haar marginals at n=10 average a Bloch norm near 0.05, so about one
+    # draw in a thousand reaches the default floor, and none of seed 0's
+    # thousand tries do; each rejected draw must stay cheap
+    t0 = time.monotonic()
+    with pytest.raises(RuntimeError):
+        random_state_with_bloch_floor(10, 0)
+    assert time.monotonic() - t0 < 30.0
+
+
+def test_engine_imports_nothing_from_oracle():
+    tree = ast.parse(Path(engine.__file__).read_text())
+    modules = [
+        node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+    ] + [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names]
+    assert not [m for m in modules if m and m.split(".")[-1] == "oracle"]
+
+
+def test_import_does_not_load_scipy():
+    code = "import sys, luequiv; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": str(Path(luequiv.__file__).parents[1])},
+    )
+    assert out.stdout.strip() == "[]"
 
 
 def test_mean_bloch_norm_stable_across_seeds():

@@ -67,6 +67,17 @@ def test_trace_form_preserves_global_spectrum():
     assert np.allclose(before, after, atol=1e-11)
 
 
+def test_trace_form_reuses_spectrum_and_is_hermitian():
+    # the trace form is a unitary conjugate: its cached spectrum and purity
+    # are the input's, and its matrix is Hermitian to the last bit
+    state, rotated, _ = lu_equivalent_pair(3, seed=13, rank=3)
+    tf = to_trace_form(rotated)
+    assert np.array_equal(tf.state.spectrum, rotated.spectrum)
+    assert tf.state.purity == rotated.purity
+    assert np.array_equal(tf.state.matrix, tf.state.matrix.conj().T)
+    assert not tf.state.matrix.flags.writeable
+
+
 def test_ghz_frames_flag_maximally_mixed():
     tf = to_trace_form(ghz_state(3))
     assert all(f.maximally_mixed for f in tf.frames)
