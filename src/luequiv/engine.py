@@ -104,8 +104,9 @@ class PhaseMatchResult:
     """Outcome of the phase solve.
 
     branches counts the solutions of the chosen equations (0 when the
-    modulus bound already decided); min_modulus is the smallest entry
-    modulus among them, None when no equation was needed.
+    modulus bound already decided); min_modulus is the smallest
+    min(|rho_rc|, |rho'_rc|) among those equations, None when none was
+    needed.
     """
 
     status: str
@@ -228,18 +229,14 @@ def smith_form(s) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return u, np.array(d, dtype=np.int64), v
 
 
-def _trace_out(m: np.ndarray, n: int, keep: np.ndarray) -> np.ndarray:
-    """Partial trace of an n-qubit matrix over every qubit not flagged in keep."""
-    if keep.all():
-        return m
-    letters = "abcdefghijklmnopqrstuvwxyz"
-    rows = letters[:n]
-    cols = "".join(letters[n + k] if keep[k] else letters[k] for k in range(n))
-    out = "".join(rows[k] for k in range(n) if keep[k]) + "".join(
-        cols[k] for k in range(n) if keep[k]
-    )
-    size = 2 ** int(keep.sum())
-    return np.einsum(f"{rows}{cols}->{out}", m.reshape((2,) * (2 * n))).reshape(size, size)
+def _trace_out(m: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """Partial trace of a qubit matrix over every qubit not flagged in keep."""
+    for k in np.flatnonzero(~keep)[::-1]:
+        left = 2**k
+        right = m.shape[0] // (2 * left)
+        six = m.reshape(left, 2, right, left, 2, right)
+        m = np.einsum("aibcid->abcd", six).reshape(left * right, left * right)
+    return m
 
 
 def _entry_rows(flat: np.ndarray, m: int) -> np.ndarray:
@@ -299,8 +296,8 @@ def phase_match(t: TraceForm, t_prime: TraceForm, tol: float) -> PhaseMatchResul
     active = np.array(
         [not (f.maximally_mixed or g.maximally_mixed) for f, g in zip(t.frames, t_prime.frames)]
     )
-    a = _trace_out(t.state.matrix, n, active)
-    b = _trace_out(t_prime.state.matrix, n, active)
+    a = _trace_out(t.state.matrix, active)
+    b = _trace_out(t_prime.state.matrix, active)
     m = int(active.sum())
     scale = 2.0 ** ((n - m) / 2.0)
     tol_r = tol * scale

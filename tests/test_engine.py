@@ -194,13 +194,20 @@ def test_phase_match_sparse_support_without_anchors():
     assert err < 1e-8
 
 
-def test_phase_match_two_branch_x_state():
-    # coherences only at (00, 11) and (01, 10): the equations are w1 + w2 and
-    # w1 - w2, a Smith form with d = (1, 2), so two branches
+@pytest.mark.parametrize("eps", [0.0, 0.01])
+def test_phase_match_two_branch_x_state(eps):
+    # heaviest coherences at (00, 11) and (01, 10): the equations w1 + w2 and
+    # w1 - w2 have a Smith form with d = (1, 2), so two branches.  Without
+    # other coherences both match (Z x Z fixes the state); the light (00, 01)
+    # and (10, 11) coherences, opposite so the marginals stay diagonal, flip
+    # sign under the second branch, which must then be rejected
     phi = np.array([0.8, 0, 0, 0.6 * np.exp(0.9j)])
     psi = np.array([0, 0.9, 0.436 * np.exp(-0.5j), 0])
     psi = psi / np.linalg.norm(psi)
     rho = 0.7 * np.outer(phi, phi.conj()) + 0.3 * np.outer(psi, psi.conj())
+    rho = 0.8 * rho + 0.05 * np.eye(4)
+    rho[0, 1] = rho[1, 0] = eps
+    rho[2, 3] = rho[3, 2] = -eps
     tf = to_trace_form(validate_state(rho))
     d = kron_all([phase_diag(0.4), phase_diag(1.3)])
     tf_twisted = to_trace_form(validate_state(d @ tf.state.matrix @ d.conj().T))
