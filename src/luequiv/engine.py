@@ -13,26 +13,30 @@ The pipeline follows the trace-decomposition protocol:
    from the original inputs before an Equivalent verdict is issued.
 
 Qubits with (near-)degenerate marginals admit a full SU(2) freedom instead of
-a phase, which the phase solve cannot see.  Those instances come back
-Indeterminate unless the optional per-qubit SU(2) fallback search is enabled.
+a phase.  Those instances come back Indeterminate unless the optional SU(2)
+fallback is enabled.  A partial trace over the mixed qubits commutes with
+their unitaries, so the phase solve on the other qubits' reductions is still
+a necessary condition: when it fails the verdict is Indeterminate at once,
+and when it matches, a seeded search over the mixed qubits' SU(2) factors
+looks for a witness.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .linalg import (
+    conjugate_local,
     dagger,
     eig_hermitian_2x2,
     euler_unitary,
     frobenius_distance,
-    kron_all,
     make_rng,
 )
 from .states import NQubitState, reduced_qubit
-from .traceform import TraceForm, to_trace_form
+from .traceform import LocalEigenframe, TraceForm, to_trace_form
 
 EQUIVALENT = "equivalent"
 NOT_EQUIVALENT = "not_equivalent"
@@ -44,6 +48,11 @@ BY_TRACE_FORM = "by_trace_form"
 
 MATCHED = "matched"
 NO_SOLUTION = "no_solution"
+
+# coordinate descent converges linearly with an instance-dependent rate;
+# the deep budget only gets spent on runs that are actually descending,
+# since plateaus break out after a handful of sweeps
+FALLBACK_SWEEPS = 2500
 
 
 class EngineInconsistencyError(RuntimeError):
@@ -59,7 +68,7 @@ class EngineConfig:
     degeneracy_tol is the marginal eigenvalue gap below which a qubit counts
     as maximally mixed.  The phase solve is exact and has no budget.  The
     SU(2) fallback is off by default; it runs fallback_restarts seeded
-    restarts of at most fallback_sweeps coordinate sweeps each.
+    restarts of at most FALLBACK_SWEEPS coordinate sweeps each.
     """
 
     tol: float = 1e-9
@@ -67,10 +76,6 @@ class EngineConfig:
     degeneracy_tol: float = 1e-10
     fallback: bool = False
     fallback_restarts: int = 16
-    # coordinate descent converges linearly with an instance-dependent rate;
-    # the deep budget only gets spent on runs that are actually descending,
-    # since plateaus break out after a handful of sweeps
-    fallback_sweeps: int = 2500
     seed: int = 11
 
 
@@ -91,12 +96,10 @@ class PreflightReport:
 class PhaseAssignment:
     """Per-qubit angles w_i of diag(e^{iw_i}, e^{-iw_i}), each in [0, pi).
 
-    active marks qubits whose marginal is non-degenerate; inactive entries
-    are exactly zero.
+    Entries of maximally mixed qubits are exactly zero.
     """
 
     omegas: np.ndarray
-    active: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -335,7 +338,7 @@ def phase_match(t: TraceForm, t_prime: TraceForm, tol: float) -> PhaseMatchResul
                 omegas = np.zeros(n)
                 omegas[active] = w
                 omegas.flags.writeable = False
-                assignment = PhaseAssignment(omegas=omegas, active=active)
+                assignment = PhaseAssignment(omegas=omegas)
                 return PhaseMatchResult(MATCHED, assignment, score / scale, branches, min_modulus)
         best = min(best, score)
     return PhaseMatchResult(NO_SOLUTION, None, best / scale, branches, min_modulus)
@@ -367,12 +370,16 @@ def _diag_phase(omega: float) -> np.ndarray:
     return np.diag([np.exp(1j * omega), np.exp(-1j * omega)])
 
 
+def _frame_unitary(f: LocalEigenframe, g: LocalEigenframe, core: np.ndarray) -> np.ndarray:
+    """V'_i core V_i^dag: a trace-form local operator taken back to the inputs."""
+    return g.v @ core @ dagger(f.v)
+
+
 def _finalize_witness(
     unitaries, original: NQubitState, original_prime: NQubitState, tol: float
 ) -> WitnessLU:
     us = tuple(normalize_special(np.asarray(u, dtype=complex)) for u in unitaries)
-    big = kron_all(us)
-    residual = frobenius_distance(original_prime.matrix, big @ original.matrix @ dagger(big))
+    residual = frobenius_distance(original_prime.matrix, conjugate_local(original.matrix, us))
     if residual > tol:
         raise EngineInconsistencyError(
             f"witness residual {residual:.3e} above tolerance {tol:.1e}"
@@ -397,8 +404,8 @@ def assemble_witness(
     successful return is a machine-checkable certificate.
     """
     us = [
-        g.v @ _diag_phase(float(phases.omegas[f.qubit - 1])) @ dagger(f.v)
-        for f, g in zip(t.frames, t_prime.frames)
+        _frame_unitary(f, g, _diag_phase(float(w)))
+        for f, g, w in zip(t.frames, t_prime.frames, phases.omegas)
     ]
     return _finalize_witness(us, original, original_prime, tol)
 
@@ -411,75 +418,53 @@ def assemble_witness(
 def su2_fallback(
     a: NQubitState,
     b: NQubitState,
+    ta: TraceForm,
+    tb: TraceForm,
     mixed_qubits: tuple[int, ...],
+    phases: PhaseAssignment,
     config: EngineConfig,
-    trace_forms: tuple[TraceForm, TraceForm] | None = None,
 ) -> WitnessLU | None:
-    """Search full SU(2) freedom on maximally mixed qubits.
+    """Search the full SU(2) freedom of the maximally mixed qubits.
 
-    Non-degenerate qubits keep the phase-torus form V'_i diag V_i^dag, with
-    angles fixed by phase_match when it succeeds and left free otherwise;
-    each mixed qubit contributes three Euler angles.  The witness residual is
-    minimized by multi-start cyclic coordinate descent: along any single
-    angle the squared residual is const + a cos + b sin (in the angle or its
-    double), so every coordinate step is an exact global minimization from
-    three samples.  Returns None when no restart reaches tolerance.
+    It runs after phase_match matched the other qubits, so each of those keeps
+    the fixed U_i = V'_i diag(e^{iw_i}, e^{-iw_i}) V_i^dag from phases, and
+    each mixed qubit contributes three Euler angles of period 2 pi.  The
+    witness residual is minimized by multi-start cyclic coordinate descent:
+    along any single angle the squared residual is const + a cos + b sin, so
+    every coordinate step is an exact global minimization from three
+    samples.  Returns None when no restart reaches tolerance.
     """
-    if trace_forms is None:
-        ta = to_trace_form(a, degeneracy_tol=config.degeneracy_tol)
-        tb = to_trace_form(b, degeneracy_tol=config.degeneracy_tol)
-    else:
-        ta, tb = trace_forms
-    n = a.n
     mixed = set(mixed_qubits)
-
-    pm = phase_match(ta, tb, config.tol)
-    fixed_phases = pm.assignment.omegas if pm.status == MATCHED else None
-
-    # coordinate layout: (qubit, kind, period) with kind "euler0/1/2" or "phase"
-    coords: list[tuple[int, int, float]] = []
-    for i in range(1, n + 1):
-        if i in mixed:
-            coords.extend([(i, j, 2.0 * np.pi) for j in range(3)])
-        elif fixed_phases is None:
-            coords.append((i, 3, np.pi))
+    fixed = [
+        None if f.qubit in mixed else _frame_unitary(f, g, _diag_phase(float(w)))
+        for f, g, w in zip(ta.frames, tb.frames, phases.omegas)
+    ]
 
     def unitaries_from(theta: np.ndarray) -> list[np.ndarray]:
-        us = []
-        pos = 0
-        for i in range(1, n + 1):
-            fa, fb = ta.frames[i - 1], tb.frames[i - 1]
-            if i in mixed:
-                w = euler_unitary(theta[pos], theta[pos + 1], theta[pos + 2])
-                pos += 3
-                us.append(fb.v @ w @ dagger(fa.v))
-            elif fixed_phases is None:
-                us.append(fb.v @ _diag_phase(theta[pos]) @ dagger(fa.v))
-                pos += 1
-            else:
-                us.append(fb.v @ _diag_phase(float(fixed_phases[i - 1])) @ dagger(fa.v))
-        return us
+        angles = iter(theta.reshape(-1, 3).tolist())
+        return [
+            _frame_unitary(f, g, euler_unitary(*next(angles))) if u is None else u
+            for f, g, u in zip(ta.frames, tb.frames, fixed)
+        ]
 
     def objective(theta: np.ndarray) -> float:
-        big = kron_all(unitaries_from(theta))
-        d = b.matrix - big @ a.matrix @ dagger(big)
+        d = b.matrix - conjugate_local(a.matrix, unitaries_from(theta))
         return float(np.sum(np.abs(d) ** 2))
 
     rng = make_rng(config.seed)
-    dim = len(coords)
-    periods = np.array([period for (_, _, period) in coords])
+    dim = 3 * len(mixed)
+    period = 2.0 * np.pi
     tol_sq = config.tol**2
 
     for start in range(config.fallback_restarts):
         if start == 0:
             theta = np.zeros(dim)
         else:
-            theta = rng.uniform(0.0, periods)
+            theta = rng.uniform(0.0, period, dim)
         f = objective(theta)
-        for _ in range(config.fallback_sweeps):
+        for _ in range(FALLBACK_SWEEPS):
             prev = f
             for j in range(dim):
-                period = periods[j]
                 base = theta[j]
                 probe = theta.copy()
                 probe[j] = base + period / 3.0
@@ -519,8 +504,11 @@ def decide_lu_equivalence(
     Equivalent verdicts carry witness unitaries whose residual was recomputed
     from the inputs.  NotEquivalent names the separating invariant; the
     trace-form rejection is only issued when no marginal is maximally mixed
-    and no branch of the exact phase solve matches.  Degenerate marginals yield
-    Indeterminate unless config.fallback enables the SU(2) search.
+    and no branch of the exact phase solve matches.  Degenerate marginals
+    yield Indeterminate unless config.fallback is set.  Then the phase solve
+    on the non-mixed qubits runs first, as a necessary condition, and only a
+    match there starts the SU(2) search; a failed solve is Indeterminate
+    without a search.
     """
     if a.n != b.n:
         raise ValueError(f"qubit counts differ: {a.n} vs {b.n}")
@@ -545,29 +533,10 @@ def decide_lu_equivalence(
     direct = frobenius_distance(ta.state.matrix, tb.state.matrix)
     diagnostics["direct_distance"] = direct
 
-    if mixed:
-        if not config.fallback:
-            return Verdict(outcome=INDETERMINATE, mixed_qubits=mixed, diagnostics=diagnostics)
-        witness = su2_fallback(a, b, mixed, config, trace_forms=(ta, tb))
-        if witness is not None:
-            return Verdict(
-                outcome=EQUIVALENT,
-                witness=witness,
-                mixed_qubits=mixed,
-                fallback_attempted=True,
-                diagnostics=diagnostics,
-            )
-        return Verdict(
-            outcome=INDETERMINATE,
-            mixed_qubits=mixed,
-            fallback_attempted=True,
-            budget_exhausted=True,
-            diagnostics=diagnostics,
-        )
-
-    if direct <= config.tol:
-        phases = PhaseAssignment(omegas=np.zeros(a.n), active=np.ones(a.n, dtype=bool))
-        witness = assemble_witness(ta, tb, phases, b, a, tol=config.tol)
+    if mixed and not config.fallback:
+        return Verdict(outcome=INDETERMINATE, mixed_qubits=mixed, diagnostics=diagnostics)
+    if not mixed and direct <= config.tol:
+        witness = assemble_witness(ta, tb, PhaseAssignment(np.zeros(a.n)), b, a, tol=config.tol)
         diagnostics["phase_status"] = "direct"
         return Verdict(outcome=EQUIVALENT, witness=witness, diagnostics=diagnostics)
 
@@ -578,6 +547,20 @@ def decide_lu_equivalence(
     diagnostics["phase_min_modulus"] = pm.min_modulus
     if pm.status == MATCHED:
         diagnostics["omegas"] = [float(w) for w in pm.assignment.omegas]
+
+    if not mixed:
+        if pm.status != MATCHED:
+            return Verdict(outcome=NOT_EQUIVALENT, reason=BY_TRACE_FORM, diagnostics=diagnostics)
         witness = assemble_witness(ta, tb, pm.assignment, b, a, tol=config.tol)
         return Verdict(outcome=EQUIVALENT, witness=witness, diagnostics=diagnostics)
-    return Verdict(outcome=NOT_EQUIVALENT, reason=BY_TRACE_FORM, diagnostics=diagnostics)
+
+    searched = pm.status == MATCHED
+    witness = su2_fallback(a, b, ta, tb, mixed, pm.assignment, config) if searched else None
+    return Verdict(
+        outcome=INDETERMINATE if witness is None else EQUIVALENT,
+        witness=witness,
+        mixed_qubits=mixed,
+        fallback_attempted=True,
+        budget_exhausted=searched and witness is None,
+        diagnostics=diagnostics,
+    )

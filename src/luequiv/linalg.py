@@ -77,6 +77,12 @@ def dagger(m: np.ndarray) -> np.ndarray:
     return np.conj(np.asarray(m)).T
 
 
+def conjugate_local(m: np.ndarray, factors) -> np.ndarray:
+    """(F_1 x ... x F_n) m (F_1 x ... x F_n)^dag, with qubit 1 first."""
+    big = kron_all(factors)
+    return big @ m @ dagger(big)
+
+
 def frobenius_distance(a: np.ndarray, b: np.ndarray) -> float:
     """Frobenius norm of a - b.  Shapes must agree exactly."""
     a = np.asarray(a)

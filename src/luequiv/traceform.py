@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DEGENERACY_TOL, dagger, eig_hermitian_2x2, kron_all
+from .linalg import DEGENERACY_TOL, conjugate_local, dagger, eig_hermitian_2x2
 from .states import BlochVector, NQubitState, bloch_vector, reduced_qubit
 
 
@@ -71,8 +71,7 @@ def to_trace_form(state: NQubitState, degeneracy_tol: float = DEGENERACY_TOL) ->
     input's, both being unitary invariants.
     """
     frames = local_eigenframes(state, degeneracy_tol=degeneracy_tol)
-    w = kron_all([dagger(f.v) for f in frames])
-    rotated = w @ state.matrix @ dagger(w)
+    rotated = conjugate_local(state.matrix, [dagger(f.v) for f in frames])
     rotated = 0.5 * (rotated + dagger(rotated))
     rotated.flags.writeable = False
     form = NQubitState(n=state.n, matrix=rotated, purity=state.purity, spectrum=state.spectrum)

@@ -394,6 +394,34 @@ def test_partially_mixed_pair_fallback():
     assert direct_residual(state, rotated, verdict.witness.unitaries) < 1e-7
 
 
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_fallback_needs_the_reduced_phase_solve(seed):
+    # Bell x chi: qubits 1, 2 maximally mixed, qubits 3, 4 generic.  Tracing
+    # out the Bell pair leaves chi, and the conjugate of a generic two-qubit
+    # mixed state fails the phase solve, so the SU(2) search never starts
+    chi = random_mixed_state(2, 2, seed)
+    bell = bell_state().matrix
+    state = validate_state(np.kron(bell, chi.matrix))
+    rng = make_rng(100 + seed)
+    us = [haar_local_unitary(rng) for _ in range(4)]
+    config = EngineConfig(fallback=True)
+
+    partner = apply_local_unitaries(validate_state(np.kron(bell, np.conj(chi.matrix))), us)
+    verdict = decide_lu_equivalence(state, partner, config)
+    assert verdict.outcome == INDETERMINATE
+    assert verdict.mixed_qubits == (1, 2)
+    assert verdict.fallback_attempted
+    assert not verdict.budget_exhausted
+    assert verdict.diagnostics["phase_status"] == NO_SOLUTION
+
+    rotated = apply_local_unitaries(state, us)
+    verdict = decide_lu_equivalence(state, rotated, config)
+    assert verdict.outcome == EQUIVALENT
+    assert verdict.fallback_attempted
+    assert verdict.diagnostics["phase_status"] == MATCHED
+    assert direct_residual(state, rotated, verdict.witness.unitaries) <= 1e-7
+
+
 def test_inequivalent_degenerate_pair_stays_indeterminate():
     # equal spectra, every marginal maximally mixed, yet inequivalent:
     # one eigenbasis is product, the other entangled.  The fallback must

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from luequiv.linalg import (
+    conjugate_local,
     dagger,
     eig_hermitian_2x2,
     frobenius_distance,
@@ -18,7 +19,7 @@ from luequiv.linalg import (
     kron_all,
     partial_trace,
 )
-from tests.conftest import I2, SX, SY, SZ, w_state
+from tests.conftest import I2, SX, SY, SZ, kron_chain, w_state
 
 
 def brute_partial_trace(rho: np.ndarray, n: int, keep: int) -> np.ndarray:
@@ -59,6 +60,16 @@ def test_kron_all_orders_left_to_right():
     # first factor owns the most significant qubit
     assert got[0, 0] == 1 * 3 * 7
     assert got[-1, -1] == 2 * 5 * 11
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_conjugate_local_matches_kron_chain(n):
+    rng = np.random.default_rng(70 + n)
+    dim = 2**n
+    m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    factors = [rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)) for _ in range(n)]
+    u = kron_chain(factors)
+    assert np.allclose(conjugate_local(m, factors), u @ m @ u.conj().T, atol=1e-12)
 
 
 def test_kron_all_size_guard():
