@@ -9,6 +9,8 @@ seeded, so the output is stable run to run.
 
 from __future__ import annotations
 
+from functools import reduce
+
 import numpy as np
 
 from luequiv import (
@@ -18,7 +20,6 @@ from luequiv import (
     frobenius_distance,
     from_pure_amplitudes,
     haar_local_unitary,
-    kron_all,
     preflight_invariants,
     random_state_with_bloch_floor,
     to_trace_form,
@@ -34,7 +35,7 @@ def banner(title: str) -> None:
 
 def residual_against_inputs(state_a, state_b, unitaries) -> float:
     """Recheck a witness with plain numpy, independent of engine internals."""
-    big = kron_all(list(unitaries))
+    big = reduce(np.kron, unitaries)
     moved = big @ state_a.matrix @ big.conj().T
     return float(np.linalg.norm(moved - state_b.matrix))
 

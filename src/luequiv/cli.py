@@ -34,7 +34,7 @@ from .serialize import (
     sha256_digest,
     verdict_report,
 )
-from .states import StateValidationError, from_pure_amplitudes
+from .states import StateValidationError, bloch_vector, from_pure_amplitudes, reduced_qubit
 from .traceform import to_trace_form
 
 USAGE_ERROR = 3
@@ -134,6 +134,7 @@ def _cmd_check(args) -> int:
 def _cmd_trace_form(args) -> int:
     state, _ = _load(args.state)
     t = to_trace_form(state)
+    blochs = [bloch_vector(reduced_qubit(state, f.qubit)) for f in t.frames]
     doc = {
         "n": state.n,
         "rho_t": matrix_pairs(t.state.matrix),
@@ -142,10 +143,10 @@ def _cmd_trace_form(args) -> int:
                 "qubit": f.qubit,
                 "eigenvalues": [float(v) for v in f.eigenvalues],
                 "v": matrix_pairs(f.v),
-                "bloch": [f.bloch.x, f.bloch.y, f.bloch.z],
+                "bloch": [b.x, b.y, b.z],
                 "maximally_mixed": f.maximally_mixed,
             }
-            for f in t.frames
+            for f, b in zip(t.frames, blochs)
         ],
     }
     print(render_report(doc))

@@ -68,7 +68,9 @@ class EngineConfig:
     degeneracy_tol is the marginal eigenvalue gap below which a qubit counts
     as maximally mixed.  The phase solve is exact and has no budget.  The
     SU(2) fallback is off by default; it runs fallback_restarts seeded
-    restarts of at most FALLBACK_SWEEPS coordinate sweeps each.
+    restarts of at most FALLBACK_SWEEPS coordinate sweeps each.  The three
+    tolerances must be finite and positive and fallback_restarts at least 1;
+    anything else raises ValueError.
     """
 
     tol: float = 1e-9
@@ -77,6 +79,14 @@ class EngineConfig:
     fallback: bool = False
     fallback_restarts: int = 16
     seed: int = 11
+
+    def __post_init__(self):
+        for name in ("tol", "spectrum_tol", "degeneracy_tol"):
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and positive, got {value}")
+        if self.fallback_restarts < 1:
+            raise ValueError(f"fallback_restarts must be at least 1, got {self.fallback_restarts}")
 
 
 DEFAULT_CONFIG = EngineConfig()
@@ -423,7 +433,7 @@ def su2_fallback(
     mixed_qubits: tuple[int, ...],
     phases: PhaseAssignment,
     config: EngineConfig,
-) -> WitnessLU | None:
+) -> tuple[WitnessLU | None, int]:
     """Search the full SU(2) freedom of the maximally mixed qubits.
 
     It runs after phase_match matched the other qubits, so each of those keeps
@@ -432,23 +442,29 @@ def su2_fallback(
     witness residual is minimized by multi-start cyclic coordinate descent:
     along any single angle the squared residual is const + a cos + b sin, so
     every coordinate step is an exact global minimization from three
-    samples.  Returns None when no restart reaches tolerance.
+    samples.  The fixed factors are applied to a once, so each evaluation
+    contracts only the mixed qubits.  Returns the witness, None when no
+    restart reaches tolerance, and the number of objective evaluations.
     """
     mixed = set(mixed_qubits)
     fixed = [
         None if f.qubit in mixed else _frame_unitary(f, g, _diag_phase(float(w)))
         for f, g, w in zip(ta.frames, tb.frames, phases.omegas)
     ]
+    a_fixed = conjugate_local(a.matrix, fixed)
+    evaluations = 0
 
-    def unitaries_from(theta: np.ndarray) -> list[np.ndarray]:
+    def mixed_factors(theta: np.ndarray) -> list[np.ndarray | None]:
         angles = iter(theta.reshape(-1, 3).tolist())
         return [
-            _frame_unitary(f, g, euler_unitary(*next(angles))) if u is None else u
+            _frame_unitary(f, g, euler_unitary(*next(angles))) if u is None else None
             for f, g, u in zip(ta.frames, tb.frames, fixed)
         ]
 
     def objective(theta: np.ndarray) -> float:
-        d = b.matrix - conjugate_local(a.matrix, unitaries_from(theta))
+        nonlocal evaluations
+        evaluations += 1
+        d = b.matrix - conjugate_local(a_fixed, mixed_factors(theta))
         return float(np.sum(np.abs(d) ** 2))
 
     rng = make_rng(config.seed)
@@ -487,8 +503,9 @@ def su2_fallback(
             if prev - f <= 1e-6 * f:
                 break
         if f <= tol_sq:
-            return _finalize_witness(unitaries_from(theta), a, b, config.tol)
-    return None
+            us = [u if m is None else m for u, m in zip(fixed, mixed_factors(theta))]
+            return _finalize_witness(us, a, b, config.tol), evaluations
+    return None, evaluations
 
 
 # ---------------------------------------------------------------------------
@@ -555,7 +572,11 @@ def decide_lu_equivalence(
         return Verdict(outcome=EQUIVALENT, witness=witness, diagnostics=diagnostics)
 
     searched = pm.status == MATCHED
-    witness = su2_fallback(a, b, ta, tb, mixed, pm.assignment, config) if searched else None
+    witness = None
+    if searched:
+        witness, diagnostics["fallback_evaluations"] = su2_fallback(
+            a, b, ta, tb, mixed, pm.assignment, config
+        )
     return Verdict(
         outcome=INDETERMINATE if witness is None else EQUIVALENT,
         witness=witness,

@@ -11,6 +11,7 @@ importing the other.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -48,29 +49,15 @@ def euler_unitary(alpha: float, beta: float, gamma: float) -> np.ndarray:
     )
 
 
-def kron(a: np.ndarray, b: np.ndarray, max_dim: int = MAX_KRON_DIM) -> np.ndarray:
-    """Kronecker product with an output-size guard."""
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ValueError("kron expects 2-d operands")
-    if a.shape[0] * b.shape[0] > max_dim or a.shape[1] * b.shape[1] > max_dim:
-        raise ValueError(
-            f"kron output {a.shape[0] * b.shape[0]}x{a.shape[1] * b.shape[1]} "
-            f"exceeds the {max_dim} dimension cap"
-        )
-    return np.kron(a, b)
-
-
 def kron_all(mats, max_dim: int = MAX_KRON_DIM) -> np.ndarray:
-    """Left-to-right Kronecker product of a sequence (qubit 1 first)."""
-    mats = list(mats)
-    if not mats:
-        raise ValueError("kron_all needs at least one factor")
-    out = np.asarray(mats[0], dtype=complex)
-    for m in mats[1:]:
-        out = kron(out, m, max_dim=max_dim)
-    return out
+    """Left-to-right Kronecker product (qubit 1 first), size-checked before it is built."""
+    mats = [np.asarray(m, dtype=complex) for m in mats]
+    if not mats or any(m.ndim != 2 for m in mats):
+        raise ValueError("kron_all needs at least one 2-d factor")
+    shape = np.prod([m.shape for m in mats], axis=0)
+    if shape.max() > max_dim:
+        raise ValueError(f"kron output {shape[0]}x{shape[1]} exceeds the {max_dim} dimension cap")
+    return reduce(np.kron, mats)
 
 
 def dagger(m: np.ndarray) -> np.ndarray:
@@ -78,9 +65,22 @@ def dagger(m: np.ndarray) -> np.ndarray:
 
 
 def conjugate_local(m: np.ndarray, factors) -> np.ndarray:
-    """(F_1 x ... x F_n) m (F_1 x ... x F_n)^dag, with qubit 1 first."""
-    big = kron_all(factors)
-    return big @ m @ dagger(big)
+    """(F_1 x ... x F_n) m (F_1 x ... x F_n)^dag, with qubit 1 first.
+
+    A None factor is the identity.  Each factor acts on its own row axis as a
+    batched 2x2 product, so no 2**n x 2**n operator is built; the column side
+    is the same row pass on the conjugate transpose, as
+    (F (F m)^dag)^dag = F m F^dag.
+    """
+    out = np.asarray(m, dtype=complex)
+    if out.shape != (2 ** len(factors),) * 2:
+        raise ValueError(f"{len(factors)} factors do not fit a {out.shape} matrix")
+    for _ in range(2):
+        for k, f in enumerate(factors):
+            if f is not None:
+                out = np.matmul(f, out.reshape(2**k, 2, -1)).reshape(out.shape)
+        out = dagger(out)
+    return out
 
 
 def frobenius_distance(a: np.ndarray, b: np.ndarray) -> float:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import DEGENERACY_TOL, conjugate_local, dagger, eig_hermitian_2x2
-from .states import BlochVector, NQubitState, bloch_vector, reduced_qubit
+from .states import NQubitState, reduced_qubit
 
 
 @dataclass(frozen=True)
@@ -32,7 +32,6 @@ class LocalEigenframe:
     qubit: int
     eigenvalues: np.ndarray
     v: np.ndarray
-    bloch: BlochVector
     maximally_mixed: bool
 
 
@@ -48,15 +47,13 @@ def local_eigenframes(
     """Diagonalize every single-qubit marginal with the fixed phase convention."""
     frames = []
     for i in range(1, state.n + 1):
-        q = reduced_qubit(state, i)
-        pair = eig_hermitian_2x2(q, degeneracy_tol=degeneracy_tol)
+        pair = eig_hermitian_2x2(reduced_qubit(state, i), degeneracy_tol=degeneracy_tol)
         v = np.eye(2, dtype=complex) if pair.degenerate else pair.vectors
         frames.append(
             LocalEigenframe(
                 qubit=i,
                 eigenvalues=pair.eigenvalues,
                 v=v,
-                bloch=bloch_vector(q),
                 maximally_mixed=pair.degenerate,
             )
         )

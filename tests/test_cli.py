@@ -96,6 +96,29 @@ def test_check_fallback_certifies(ghz_files, capsys):
     assert "equivalent" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "files,flags",
+    [
+        ("pair_files", ["--tol", "-1"]),
+        ("pair_files", ["--tol", "nan"]),
+        ("pair_files", ["--tol", "inf"]),
+        ("pair_files", ["--spectrum-tol", "-1"]),
+        ("ghz_files", ["--fallback", "--degeneracy-tol", "0"]),
+        ("ghz_files", ["--fallback", "--degeneracy-tol", "-1"]),
+        ("ghz_files", ["--fallback", "--restarts", "0"]),
+    ],
+)
+def test_check_invalid_config_exit_three(files, flags, request, capsys):
+    # a tolerance that is not finite and positive, or no restarts, used to
+    # give a verdict (false rejections of equivalent pairs among them)
+    a, b = request.getfixturevalue(files)
+    code = run_command(["check", str(a), str(b), *flags])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert "error:" in captured.err
+
+
 def test_check_missing_file_exit_three(pair_files, tmp_path, capsys):
     a, _ = pair_files
     code = run_command(["check", str(a), str(tmp_path / "nope.json")])

@@ -352,6 +352,7 @@ def test_ghz_pair_fallback_certifies():
     assert verdict.outcome == EQUIVALENT
     assert verdict.fallback_attempted
     assert direct_residual(ghz, rotated, verdict.witness.unitaries) < 1e-7
+    assert verdict.diagnostics["fallback_evaluations"] > 0
 
 
 def test_bell_pair_fallback():
@@ -413,6 +414,7 @@ def test_fallback_needs_the_reduced_phase_solve(seed):
     assert verdict.fallback_attempted
     assert not verdict.budget_exhausted
     assert verdict.diagnostics["phase_status"] == NO_SOLUTION
+    assert "fallback_evaluations" not in verdict.diagnostics
 
     rotated = apply_local_unitaries(state, us)
     verdict = decide_lu_equivalence(state, rotated, config)
@@ -442,6 +444,26 @@ def test_inequivalent_degenerate_pair_stays_indeterminate():
     assert verdict.outcome == INDETERMINATE
     assert verdict.fallback_attempted
     assert verdict.budget_exhausted
+    assert verdict.diagnostics["fallback_evaluations"] > 0
+
+
+@pytest.mark.parametrize(
+    "field,value",
+    [
+        ("tol", 0.0),
+        ("tol", -1e-9),
+        ("tol", float("nan")),
+        ("spectrum_tol", -1.0),
+        ("spectrum_tol", float("inf")),
+        ("degeneracy_tol", 0.0),
+        ("degeneracy_tol", -1.0),
+        ("fallback_restarts", 0),
+    ],
+)
+def test_engine_config_rejects_invalid_values(field, value):
+    with pytest.raises(ValueError, match=field):
+        EngineConfig(**{field: value})
+    EngineConfig(**{field: 1})  # finite and positive is accepted
 
 
 def test_dimension_mismatch_raises():

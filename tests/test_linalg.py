@@ -15,7 +15,6 @@ from luequiv.linalg import (
     dagger,
     eig_hermitian_2x2,
     frobenius_distance,
-    kron,
     kron_all,
     partial_trace,
 )
@@ -37,7 +36,7 @@ def brute_partial_trace(rho: np.ndarray, n: int, keep: int) -> np.ndarray:
 
 
 def test_kron_matches_numpy():
-    got = kron(SX, SZ)
+    got = kron_all([SX, SZ])
     expected = np.array(
         [
             [0, 0, 1, 0],
@@ -62,7 +61,7 @@ def test_kron_all_orders_left_to_right():
     assert got[-1, -1] == 2 * 5 * 11
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_conjugate_local_matches_kron_chain(n):
     rng = np.random.default_rng(70 + n)
     dim = 2**n
@@ -70,6 +69,15 @@ def test_conjugate_local_matches_kron_chain(n):
     factors = [rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)) for _ in range(n)]
     u = kron_chain(factors)
     assert np.allclose(conjugate_local(m, factors), u @ m @ u.conj().T, atol=1e-12)
+    # a None factor is the identity on its qubit
+    holes = [None if k % 2 else f for k, f in enumerate(factors)]
+    u = kron_chain([I2 if f is None else f for f in holes])
+    assert np.allclose(conjugate_local(m, holes), u @ m @ u.conj().T, atol=1e-12)
+
+
+def test_conjugate_local_factor_count_must_fit():
+    with pytest.raises(ValueError):
+        conjugate_local(np.eye(8, dtype=complex), [SX, SZ])
 
 
 def test_kron_all_size_guard():
