@@ -72,8 +72,7 @@ def case_trace_form_rejection() -> None:
     # a generic pure state and its complex conjugate share every spectrum
     # (global and marginal) yet admit no local-unitary map between them
     state = random_state_with_bloch_floor(3, SEED + 40, rank=1, min_bloch=0.05)
-    amp = np.linalg.eigh(state.matrix)[1][:, -1]
-    conj_state = from_pure_amplitudes(np.conj(amp))
+    conj_state = from_pure_amplitudes(np.conj(state.amplitudes))
 
     pre = preflight_invariants(state, conj_state, 1e-9)
     print(f"preflight: ok={pre.ok} (largest marginal gap {max(pre.marginal_gaps):.2e})")

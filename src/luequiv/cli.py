@@ -12,8 +12,6 @@ import argparse
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .engine import (
     EQUIVALENT,
@@ -187,7 +185,7 @@ def _cmd_gen(args) -> int:
         text = (
             emit_mixed_state_file(state.matrix, label=label)
             if args.kind == "mixed"
-            else emit_pure_state_file(_top_eigvec(state), label=label)
+            else emit_pure_state_file(state.amplitudes, label=label)
         )
     elif args.kind == "pure":
         text = emit_pure_state_file(random_pure_amplitudes(args.n, args.seed), label=label)
@@ -199,12 +197,6 @@ def _cmd_gen(args) -> int:
     else:
         print(text)
     return 0
-
-
-def _top_eigvec(state) -> np.ndarray:
-    # recover the amplitude vector of a rank-1 state for pure-kind emission
-    eigvals, eigvecs = np.linalg.eigh(state.matrix)
-    return eigvecs[:, -1]
 
 
 def _cmd_oracle(args) -> int:

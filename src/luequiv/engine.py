@@ -12,6 +12,12 @@ The pipeline follows the trace-decomposition protocol:
    U_i = V'_i diag(e^{iw_i}, e^{-iw_i}) V_i^dag whose residual is recomputed
    from the original inputs before an Equivalent verdict is issued.
 
+A pair of pure inputs runs every stage on the amplitude vectors, in
+O(n 2**n): the trace form is (V_1^dag x ... x V_n^dag) psi, trace-form entries
+are psi_r conj(psi_c), and the witness residual follows from the distance of
+the vectors.  The density matrices are built only where the SU(2) fallback
+needs them.
+
 Qubits with (near-)degenerate marginals admit a full SU(2) freedom instead of
 a phase.  Those instances come back Indeterminate unless the optional SU(2)
 fallback is enabled.  A partial trace over the mixed qubits commutes with
@@ -28,15 +34,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linalg import (
+    apply_local,
     conjugate_local,
     dagger,
-    eig_hermitian_2x2,
     euler_unitary,
     frobenius_distance,
     make_rng,
+    projector_distance,
 )
-from .states import NQubitState, reduced_qubit
-from .traceform import LocalEigenframe, TraceForm, to_trace_form
+from .states import NQubitState, state_distance
+from .traceform import LocalEigenframe, TraceForm, local_eigenframes, to_trace_form
 
 EQUIVALENT = "equivalent"
 NOT_EQUIVALENT = "not_equivalent"
@@ -148,18 +155,27 @@ class Verdict:
     diagnostics: dict = field(default_factory=dict)
 
 
-def preflight_invariants(a: NQubitState, b: NQubitState, tol: float) -> PreflightReport:
+def preflight_invariants(
+    a: NQubitState,
+    b: NQubitState,
+    tol: float,
+    frames: tuple[tuple[LocalEigenframe, ...], tuple[LocalEigenframe, ...]] | None = None,
+) -> PreflightReport:
     """Compare the cheap unitary invariants: global and marginal spectra.
 
     Reports the first failing invariant (global spectrum first, then qubits
-    in index order) together with its gap.
+    in index order) together with its gap.  frames, when given, are the
+    local_eigenframes of a and of b, whose eigenvalues are the marginal
+    spectra.
     """
     if a.n != b.n:
         raise ValueError(f"qubit counts differ: {a.n} vs {b.n}")
+    if frames is None:
+        frames = (local_eigenframes(a), local_eigenframes(b))
     global_gap = float(np.max(np.abs(a.spectrum - b.spectrum)))
-    marginal_gaps = []
-    for fa, fb in zip(to_marginal_spectra(a), to_marginal_spectra(b)):
-        marginal_gaps.append(float(np.max(np.abs(fa - fb))))
+    marginal_gaps = [
+        float(np.max(np.abs(fa.eigenvalues - fb.eigenvalues))) for fa, fb in zip(*frames)
+    ]
     failed = None
     qubit = None
     gap = 0.0
@@ -178,12 +194,6 @@ def preflight_invariants(a: NQubitState, b: NQubitState, tol: float) -> Prefligh
         global_gap=global_gap,
         marginal_gaps=tuple(marginal_gaps),
     )
-
-
-def to_marginal_spectra(state: NQubitState) -> list[np.ndarray]:
-    return [
-        eig_hermitian_2x2(reduced_qubit(state, i)).eigenvalues for i in range(1, state.n + 1)
-    ]
 
 
 # ---------------------------------------------------------------------------
@@ -262,11 +272,13 @@ def _entry_rows(flat: np.ndarray, m: int) -> np.ndarray:
 def _pinning_equations(flat: np.ndarray, weight: np.ndarray, m: int):
     """Heaviest-first independent equations among the entries at flat.
 
-    Returns their flat indices and coefficient rows.  Greedy selection keeps
-    every entry of flat in the span of chosen equations at least as heavy as
-    itself, so no entry's phase rests on a lighter one.
+    weight holds the entries' weights, aligned with flat.  Returns the flat
+    indices, coefficient rows and weights of the chosen equations.  Greedy
+    selection keeps every entry of flat in the span of chosen equations at
+    least as heavy as itself, so no entry's phase rests on a lighter one.
     """
-    order = flat[np.argsort(-weight[flat], kind="stable")]
+    by_weight = np.argsort(-weight, kind="stable")
+    order = flat[by_weight]
     rows = _entry_rows(order, m)
     _, first = np.unique(rows @ 3 ** np.arange(m), return_index=True)
     chosen: list[int] = []
@@ -275,7 +287,109 @@ def _pinning_equations(flat: np.ndarray, weight: np.ndarray, m: int):
             break
         if np.linalg.matrix_rank(rows[chosen + [k]]) > len(chosen):
             chosen.append(int(k))
-    return order[chosen], rows[chosen]
+    return order[chosen], rows[chosen], weight[by_weight][chosen]
+
+
+def _bits(m: int) -> np.ndarray:
+    """Row r holds the bit string of basis index r, qubit 1 first."""
+    return (np.arange(2**m)[:, None] >> np.arange(m - 1, -1, -1)) & 1
+
+
+class _Entries:
+    """Trace-form entries of a pair, for the phase solve.
+
+    weight[i] is the weight min(|rho_rc|, |rho'_rc|) of the entry at flat
+    index _flat(i) = r * 2**m + c.  A subclass supplies the weights, the
+    entry values, the modulus bound and the branch residual.
+    """
+
+    floor_scale = 1.0
+
+    def _flat(self, i: np.ndarray) -> np.ndarray:
+        return i
+
+    def heaviest(self, k: int, floor: float):
+        """Flat indices and weights of the k heaviest entries above floor."""
+        i = np.argpartition(self.weight, -min(k, self.weight.size))[-k:]
+        i = i[self.weight[i] > floor * self.floor_scale]
+        return self._flat(i), self.weight[i]
+
+    def above(self, floor: float):
+        """Flat indices and weights of every entry above floor."""
+        i = np.flatnonzero(self.weight > floor * self.floor_scale)
+        return self._flat(i), self.weight[i]
+
+
+class _DenseEntries(_Entries):
+    """Entries of two (reduced) trace-form density matrices a and b.
+
+    Every entry above the diagonal is a candidate; the rest weigh 0.
+    """
+
+    def __init__(self, a: np.ndarray, b: np.ndarray):
+        self.a, self.b = a, b
+        self.abs_a, self.abs_b = np.abs(a), np.abs(b)
+        self.weight = np.triu(np.minimum(self.abs_a, self.abs_b), 1).ravel()
+
+    def bound(self) -> float:
+        """Frobenius norm of the entrywise modulus gap."""
+        return float(np.linalg.norm(self.abs_a - self.abs_b))
+
+    def values(self, flat: np.ndarray):
+        return self.a.ravel()[flat], self.b.ravel()[flat]
+
+    def residual(self, w: np.ndarray) -> float:
+        """||b - D a D^dag||_F for D the phase conjugation by w."""
+        z = np.exp(2j * (_bits(len(w)) @ w))
+        return frobenius_distance(self.b, np.conj(z)[:, None] * self.a * z)
+
+
+class _PureEntries(_Entries):
+    """Entries psi_r conj(psi_c) and phi_r conj(phi_c) of two pure trace forms.
+
+    No matrix is built.  The candidates are the row of one anchor index,
+    the one with the largest min(|psi_r|, |phi_r|): the differences within a
+    set of indices span the same lattice as their differences to one of
+    them, so the anchor's row reaches the rank of all the heavy entries.
+    Its weights are held against floor * floor_scale, with floor_scale =
+    min(|psi_anchor|, |phi_anchor|) / max_r max(|psi_r|, |phi_r|): an index
+    whose anchor entry falls below that has no entry at all above floor.
+    """
+
+    def __init__(self, psi: np.ndarray, phi: np.ndarray):
+        self.psi, self.phi = psi, phi
+        self.x, self.y = np.abs(psi), np.abs(phi)
+        self.m = psi.size.bit_length() - 1
+        z = np.minimum(self.x, self.y)
+        self.anchor = int(np.argmax(z))
+        self.weight = np.minimum(self.x[self.anchor] * self.x, self.y[self.anchor] * self.y)
+        self.weight[self.anchor] = 0.0
+        self.floor_scale = z[self.anchor] / max(self.x.max(), self.y.max())
+
+    def _flat(self, c: np.ndarray) -> np.ndarray:
+        return self.anchor * 2**self.m + c
+
+    def bound(self) -> float:
+        """||xx^T - yy^T||_F for x = |psi|, y = |phi|, as (1/2)||us^T + su^T||_F.
+
+        With u = x - y and s = x + y that is sqrt((|u|^2 |s|^2 + (u.s)^2) / 2),
+        which keeps full relative precision where the fourth powers cancel.
+        """
+        u = self.x - self.y
+        s = self.x + self.y
+        uu, ss, us = np.dot(u, u), np.dot(s, s), np.dot(u, s)
+        return float(np.sqrt(0.5 * (uu * ss + us * us)))
+
+    def values(self, flat: np.ndarray):
+        c = flat - self.anchor * 2**self.m
+        return (
+            self.psi[self.anchor] * np.conj(self.psi[c]),
+            self.phi[self.anchor] * np.conj(self.phi[c]),
+        )
+
+    def residual(self, w: np.ndarray) -> float:
+        """||phi phi^dag - (D psi)(D psi)^dag||_F, D the phase conjugation by w."""
+        return projector_distance(self.phi, np.exp(-2j * (_bits(self.m) @ w)) * self.psi)
 
 
 def phase_match(t: TraceForm, t_prime: TraceForm, tol: float) -> PhaseMatchResult:
@@ -299,9 +413,11 @@ def phase_match(t: TraceForm, t_prime: TraceForm, tol: float) -> PhaseMatchResul
        residual.  Survivors get the full residual, and the first within tol
        is matched.  no_solution means that no branch is.
 
-    The residual is the Frobenius distance of the matrices reduced to the m
-    non-mixed of n qubits, divided by 2^((n-m)/2): the distance of those
-    reductions tensored with the maximally mixed state.
+    Two pure trace forms with no mixed qubit are read from their amplitudes
+    (_PureEntries), in O(n 2**n); otherwise from the density matrices
+    (_DenseEntries).  The residual is the Frobenius distance of the matrices
+    reduced to the m non-mixed of n qubits, divided by 2^((n-m)/2): the
+    distance of those reductions tensored with the maximally mixed state.
     """
     n = t.state.n
     if n != t_prime.state.n:
@@ -309,41 +425,42 @@ def phase_match(t: TraceForm, t_prime: TraceForm, tol: float) -> PhaseMatchResul
     active = np.array(
         [not (f.maximally_mixed or g.maximally_mixed) for f, g in zip(t.frames, t_prime.frames)]
     )
-    a = _trace_out(t.state.matrix, active)
-    b = _trace_out(t_prime.state.matrix, active)
     m = int(active.sum())
+    if m == n and t.state.amplitudes is not None and t_prime.state.amplitudes is not None:
+        entries = _PureEntries(t.state.amplitudes, t_prime.state.amplitudes)
+    else:
+        entries = _DenseEntries(
+            _trace_out(t.state.matrix, active), _trace_out(t_prime.state.matrix, active)
+        )
     scale = 2.0 ** ((n - m) / 2.0)
     tol_r = tol * scale
 
-    abs_a, abs_b = np.abs(a), np.abs(b)
-    bound = float(np.linalg.norm(abs_a - abs_b))
+    bound = entries.bound()
     if bound > tol_r:
         return PhaseMatchResult(status=NO_SOLUTION, assignment=None, residual=bound / scale)
 
-    weight = np.triu(np.minimum(abs_a, abs_b), 1).ravel()
     floor = tol_r / 2.0 ** (m + 2)
-    top = np.argpartition(weight, -min(_SLICE, weight.size))[-_SLICE:]
-    top = top[weight[top] > floor]
-    eq, rows = _pinning_equations(top, weight, m)
+    top, top_weight = entries.heaviest(_SLICE, floor)
+    eq, rows, eq_weight = _pinning_equations(top, top_weight, m)
     if len(eq) < m and top.size == _SLICE:
-        eq, rows = _pinning_equations(np.flatnonzero(weight > floor), weight, m)
+        eq, rows, eq_weight = _pinning_equations(*entries.above(floor), m)
 
     u, d, v = smith_form(rows)
-    target = u @ (0.5 * np.angle(b.ravel()[eq] * np.conj(a.ravel()[eq])))
+    a_eq, b_eq = entries.values(eq)
+    target = u @ (0.5 * np.angle(b_eq * np.conj(a_eq)))
+    a_top, b_top = entries.values(top)
     top_rows = _entry_rows(top, m)
-    bits = (np.arange(2**m)[:, None] >> np.arange(m - 1, -1, -1)) & 1
     branches = int(np.prod(d))
-    min_modulus = float(weight[eq].min()) if len(eq) else None
+    min_modulus = float(eq_weight.min()) if len(eq) else None
     best = np.inf
     for shift in np.ndindex(*(int(x) for x in d)):
         y = np.zeros(m)
         y[: len(d)] = (target + np.pi * np.array(shift)) / d
         w = np.mod(v @ y, np.pi)
-        mismatch = b.ravel()[top] - np.exp(2j * (top_rows @ w)) * a.ravel()[top]
+        mismatch = b_top - np.exp(2j * (top_rows @ w)) * a_top
         score = float(np.sqrt(2.0) * np.linalg.norm(mismatch))
         if score <= tol_r:
-            z = np.exp(2j * (bits @ w))
-            score = frobenius_distance(b, np.conj(z)[:, None] * a * z)
+            score = entries.residual(w)
             if score <= tol_r:
                 omegas = np.zeros(n)
                 omegas[active] = w
@@ -385,11 +502,18 @@ def _frame_unitary(f: LocalEigenframe, g: LocalEigenframe, core: np.ndarray) -> 
     return g.v @ core @ dagger(f.v)
 
 
+def _witness_residual(us, original: NQubitState, original_prime: NQubitState) -> float:
+    """||rho' - U rho U^dag||_F, on the amplitudes when both inputs are pure."""
+    if original.amplitudes is not None and original_prime.amplitudes is not None:
+        return projector_distance(original_prime.amplitudes, apply_local(original.amplitudes, us))
+    return frobenius_distance(original_prime.matrix, conjugate_local(original.matrix, us))
+
+
 def _finalize_witness(
     unitaries, original: NQubitState, original_prime: NQubitState, tol: float
 ) -> WitnessLU:
     us = tuple(normalize_special(np.asarray(u, dtype=complex)) for u in unitaries)
-    residual = frobenius_distance(original_prime.matrix, conjugate_local(original.matrix, us))
+    residual = _witness_residual(us, original, original_prime)
     if residual > tol:
         raise EngineInconsistencyError(
             f"witness residual {residual:.3e} above tolerance {tol:.1e}"
@@ -443,7 +567,8 @@ def su2_fallback(
     along any single angle the squared residual is const + a cos + b sin, so
     every coordinate step is an exact global minimization from three
     samples.  The fixed factors are applied to a once, so each evaluation
-    contracts only the mixed qubits.  Returns the witness, None when no
+    contracts only the mixed qubits, and a probe rebuilds only the factor of
+    the qubit whose angle it moves.  Returns the witness, None when no
     restart reaches tolerance, and the number of objective evaluations.
     """
     mixed = set(mixed_qubits)
@@ -452,19 +577,24 @@ def su2_fallback(
         for f, g, w in zip(ta.frames, tb.frames, phases.omegas)
     ]
     a_fixed = conjugate_local(a.matrix, fixed)
+    # the angles of the i-th mixed qubit, on axis positions[i], are
+    # theta[3 i : 3 i + 3]
+    positions = [k for k, u in enumerate(fixed) if u is None]
     evaluations = 0
 
-    def mixed_factors(theta: np.ndarray) -> list[np.ndarray | None]:
-        angles = iter(theta.reshape(-1, 3).tolist())
-        return [
-            _frame_unitary(f, g, euler_unitary(*next(angles))) if u is None else None
-            for f, g, u in zip(ta.frames, tb.frames, fixed)
-        ]
+    def mixed_factor(k: int, angles: list[float]) -> np.ndarray:
+        return _frame_unitary(ta.frames[k], tb.frames[k], euler_unitary(*angles))
 
-    def objective(theta: np.ndarray) -> float:
+    def mixed_factors(theta: np.ndarray) -> list[np.ndarray | None]:
+        factors: list[np.ndarray | None] = [None] * a.n
+        for k, angles in zip(positions, theta.reshape(-1, 3).tolist()):
+            factors[k] = mixed_factor(k, angles)
+        return factors
+
+    def objective(factors: list[np.ndarray | None]) -> float:
         nonlocal evaluations
         evaluations += 1
-        d = b.matrix - conjugate_local(a_fixed, mixed_factors(theta))
+        d = b.matrix - conjugate_local(a_fixed, factors)
         return float(np.sum(np.abs(d) ** 2))
 
     rng = make_rng(config.seed)
@@ -477,15 +607,22 @@ def su2_fallback(
             theta = np.zeros(dim)
         else:
             theta = rng.uniform(0.0, period, dim)
-        f = objective(theta)
+        factors = mixed_factors(theta)
+        f = objective(factors)
         for _ in range(FALLBACK_SWEEPS):
             prev = f
             for j in range(dim):
+                # coordinate j moves angle e of the i-th mixed qubit only
+                i, e = divmod(j, 3)
+                k = positions[i]
                 base = theta[j]
-                probe = theta.copy()
-                probe[j] = base + period / 3.0
+                probe = list(factors)
+                angles = theta[3 * i : 3 * i + 3].tolist()
+                angles[e] = float(base + period / 3.0)
+                probe[k] = mixed_factor(k, angles)
                 f1 = objective(probe)
-                probe[j] = base + 2.0 * period / 3.0
+                angles[e] = float(base + 2.0 * period / 3.0)
+                probe[k] = mixed_factor(k, angles)
                 f2 = objective(probe)
                 # f(u) = a0 + a1 cos u + b1 sin u sampled at u = 0, 2pi/3, 4pi/3
                 a0 = (f + f1 + f2) / 3.0
@@ -493,8 +630,9 @@ def su2_fallback(
                 b1 = (f1 - f2) / np.sqrt(3.0)
                 u_star = np.arctan2(-b1, -a1)
                 theta[j] = base + period * u_star / (2.0 * np.pi)
+                factors[k] = mixed_factor(k, theta[3 * i : 3 * i + 3].tolist())
                 f = a0 - np.hypot(a1, b1)
-            f = objective(theta)  # refresh against drift of the analytic value
+            f = objective(factors)  # refresh against drift of the analytic value
             if f <= tol_sq * 0.01:
                 break
             # descent toward zero keeps a steady relative improvement per
@@ -503,7 +641,7 @@ def su2_fallback(
             if prev - f <= 1e-6 * f:
                 break
         if f <= tol_sq:
-            us = [u if m is None else m for u, m in zip(fixed, mixed_factors(theta))]
+            us = [u if m is None else m for u, m in zip(fixed, factors)]
             return _finalize_witness(us, a, b, config.tol), evaluations
     return None, evaluations
 
@@ -531,7 +669,11 @@ def decide_lu_equivalence(
         raise ValueError(f"qubit counts differ: {a.n} vs {b.n}")
     diagnostics: dict = {}
 
-    pre = preflight_invariants(a, b, config.spectrum_tol)
+    frames = (
+        local_eigenframes(a, degeneracy_tol=config.degeneracy_tol),
+        local_eigenframes(b, degeneracy_tol=config.degeneracy_tol),
+    )
+    pre = preflight_invariants(a, b, config.spectrum_tol, frames=frames)
     diagnostics["preflight"] = {
         "global_gap": pre.global_gap,
         "marginal_gaps": list(pre.marginal_gaps),
@@ -542,12 +684,12 @@ def decide_lu_equivalence(
         diagnostics["preflight"]["gap"] = pre.gap
         return Verdict(outcome=NOT_EQUIVALENT, reason=reason, diagnostics=diagnostics)
 
-    ta = to_trace_form(a, degeneracy_tol=config.degeneracy_tol)
-    tb = to_trace_form(b, degeneracy_tol=config.degeneracy_tol)
+    ta = to_trace_form(a, frames=frames[0])
+    tb = to_trace_form(b, frames=frames[1])
     mixed = tuple(
         f.qubit for f, g in zip(ta.frames, tb.frames) if f.maximally_mixed or g.maximally_mixed
     )
-    direct = frobenius_distance(ta.state.matrix, tb.state.matrix)
+    direct = state_distance(ta.state, tb.state)
     diagnostics["direct_distance"] = direct
 
     if mixed and not config.fallback:

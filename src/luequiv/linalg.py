@@ -1,4 +1,4 @@
-"""Dense complex-matrix primitives for few-qubit work.
+"""Complex-matrix and amplitude-vector primitives for few-qubit work.
 
 Everything here operates on plain complex128 ndarrays.  Qubit 1 is the
 leftmost (most significant) tensor factor throughout the package, so the
@@ -64,23 +64,45 @@ def dagger(m: np.ndarray) -> np.ndarray:
     return np.conj(np.asarray(m)).T
 
 
+def apply_local(x: np.ndarray, factors) -> np.ndarray:
+    """(F_1 x ... x F_n) x for an amplitude vector or the rows of a matrix.
+
+    Qubit 1 is first and a None factor is the identity.  Each factor acts on
+    its own row axis as a batched 2x2 product, so no 2**n x 2**n operator is
+    built: O(n 2**n) work per column.
+    """
+    out = np.asarray(x, dtype=complex)
+    if out.shape[0] != 2 ** len(factors):
+        raise ValueError(f"{len(factors)} factors do not fit a {out.shape} array")
+    for k, f in enumerate(factors):
+        if f is not None:
+            out = np.matmul(f, out.reshape(2**k, 2, -1)).reshape(out.shape)
+    return out
+
+
 def conjugate_local(m: np.ndarray, factors) -> np.ndarray:
     """(F_1 x ... x F_n) m (F_1 x ... x F_n)^dag, with qubit 1 first.
 
-    A None factor is the identity.  Each factor acts on its own row axis as a
-    batched 2x2 product, so no 2**n x 2**n operator is built; the column side
-    is the same row pass on the conjugate transpose, as
-    (F (F m)^dag)^dag = F m F^dag.
+    The row pass apply_local, then the same pass on the conjugate transpose,
+    as (F (F m)^dag)^dag = F m F^dag.
     """
-    out = np.asarray(m, dtype=complex)
-    if out.shape != (2 ** len(factors),) * 2:
-        raise ValueError(f"{len(factors)} factors do not fit a {out.shape} matrix")
-    for _ in range(2):
-        for k, f in enumerate(factors):
-            if f is not None:
-                out = np.matmul(f, out.reshape(2**k, 2, -1)).reshape(out.shape)
-        out = dagger(out)
-    return out
+    m = np.asarray(m)
+    if m.shape != (2 ** len(factors),) * 2:
+        raise ValueError(f"{len(factors)} factors do not fit a {m.shape} matrix")
+    return dagger(apply_local(dagger(apply_local(m, factors)), factors))
+
+
+def projector_distance(u: np.ndarray, v: np.ndarray) -> float:
+    """Frobenius distance of the projectors onto the unit vectors u and v.
+
+    With d = min over theta of ||u - e^{i theta} v||, it is exactly
+    sqrt(2) d sqrt(1 - d^2 / 4).  d is taken from the aligned difference, not
+    from 1 - |<u|v>|^2, which cancels below about 1e-8.
+    """
+    overlap = np.vdot(v, u)
+    phase = overlap / abs(overlap) if overlap != 0 else 1.0
+    d = float(np.linalg.norm(u - phase * v))
+    return float(np.sqrt(2.0) * d * np.sqrt(max(1.0 - d * d / 4.0, 0.0)))
 
 
 def frobenius_distance(a: np.ndarray, b: np.ndarray) -> float:

@@ -62,7 +62,10 @@ def haar_local_unitary(seed) -> np.ndarray:
 
 
 def apply_local_unitaries(state: NQubitState, unitaries) -> NQubitState:
-    """Conjugate by U_1 x ... x U_n (qubit 1 first)."""
+    """Conjugate by U_1 x ... x U_n (qubit 1 first).
+
+    A pure state stays pure: each U_k is contracted with amplitude axis k.
+    """
     us = [np.asarray(u, dtype=complex) for u in unitaries]
     if len(us) != state.n:
         raise ValueError(f"expected {state.n} unitaries, got {len(us)}")
@@ -71,6 +74,11 @@ def apply_local_unitaries(state: NQubitState, unitaries) -> NQubitState:
             raise ValueError("local unitaries must be 2x2")
         if frobenius_distance(u @ dagger(u), np.eye(2)) > 1e-10:
             raise ValueError("matrix is not unitary within tolerance")
+    if state.amplitudes is not None:
+        t = state.amplitudes.reshape((2,) * state.n)
+        for k, u in enumerate(us):
+            t = np.moveaxis(np.tensordot(u, t, axes=([1], [k])), 0, k)
+        return from_pure_amplitudes(t.ravel())
     big = kron_all(us)
     return validate_state(big @ state.matrix @ dagger(big))
 

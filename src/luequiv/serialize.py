@@ -21,7 +21,14 @@ from pathlib import Path
 import numpy as np
 
 from .engine import EngineConfig, Verdict
-from .states import NQubitState, from_pure_amplitudes, validate_state
+from .states import (
+    MAX_PURE_QUBITS,
+    MAX_QUBITS,
+    NQubitState,
+    StateValidationError,
+    from_pure_amplitudes,
+    validate_state,
+)
 
 REPORT_SCHEMA = 1
 
@@ -69,6 +76,9 @@ def parse_state_file(text: str | bytes | os.PathLike) -> NQubitState:
     label = doc.get("label")
     if label is not None and not isinstance(label, str):
         raise StateFileError("schema", f"field 'label': expected a string, got {label!r}")
+    cap = MAX_PURE_QUBITS if kind == "pure" else MAX_QUBITS
+    if n > cap:
+        raise StateValidationError("shape", float(n), f"{n} qubits exceeds the cap of {cap}")
     dim = 2**n
 
     if kind == "pure":

@@ -7,7 +7,8 @@ For a state rho with single-qubit marginals rho_i = V_i D_i V_i^dag
 
 whose marginals are the diagonal D_i.  Two states related by local unitaries
 have trace forms related by diagonal phase conjugations only, which is what
-the equivalence engine matches afterwards.
+the equivalence engine matches afterwards.  For a pure state psi the trace
+form is the pure state (V_1^dag x ... x V_n^dag) psi.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DEGENERACY_TOL, conjugate_local, dagger, eig_hermitian_2x2
+from .linalg import DEGENERACY_TOL, apply_local, conjugate_local, dagger, eig_hermitian_2x2
 from .states import NQubitState, reduced_qubit
 
 
@@ -60,16 +61,35 @@ def local_eigenframes(
     return tuple(frames)
 
 
-def to_trace_form(state: NQubitState, degeneracy_tol: float = DEGENERACY_TOL) -> TraceForm:
-    """Conjugate the state into the tensor product of its marginal eigenframes.
+def to_trace_form(
+    state: NQubitState,
+    degeneracy_tol: float = DEGENERACY_TOL,
+    frames: tuple[LocalEigenframe, ...] | None = None,
+) -> TraceForm:
+    """Rotate the state into the tensor product of its marginal eigenframes.
 
-    The result is a unitary conjugate of a validated state, so it is only
-    Hermitized, as validate_state does; its spectrum and purity are the
-    input's, both being unitary invariants.
+    frames, when given, are the state's local_eigenframes, so a caller that
+    already has them does not reduce the marginals again.  A pure state's
+    amplitudes are rotated, and the result stays pure.  A dense result is a
+    unitary conjugate of a validated state, so it is only Hermitized, as
+    validate_state does; its spectrum and purity are the input's, both
+    being unitary invariants.
     """
-    frames = local_eigenframes(state, degeneracy_tol=degeneracy_tol)
-    rotated = conjugate_local(state.matrix, [dagger(f.v) for f in frames])
-    rotated = 0.5 * (rotated + dagger(rotated))
+    if frames is None:
+        frames = local_eigenframes(state, degeneracy_tol=degeneracy_tol)
+    factors = [dagger(f.v) for f in frames]
+    pure = state.amplitudes is not None
+    if pure:
+        rotated = apply_local(state.amplitudes, factors)
+    else:
+        rotated = conjugate_local(state.matrix, factors)
+        rotated = 0.5 * (rotated + dagger(rotated))
     rotated.flags.writeable = False
-    form = NQubitState(n=state.n, matrix=rotated, purity=state.purity, spectrum=state.spectrum)
+    form = NQubitState(
+        n=state.n,
+        purity=state.purity,
+        spectrum=state.spectrum,
+        amplitudes=rotated if pure else None,
+        dense=None if pure else rotated,
+    )
     return TraceForm(state=form, frames=frames)

@@ -1,4 +1,7 @@
-"""Acceptance gate: ten end-to-end criteria, one printed line each.
+"""Acceptance gate: eleven end-to-end criteria, one printed line each.
+
+The criteria are C1-C10 and C12; C11 is reserved for near-degenerate
+marginals.
 
 Every criterion prints exactly one line, "PASS: ..." or "FAIL: ...",
 with the measured quantity and its pinned tolerance, then asserts.
@@ -37,6 +40,7 @@ from luequiv import (
 from luequiv.engine import (
     BY_GLOBAL_SPECTRUM,
     BY_MARGINAL_SPECTRA,
+    BY_TRACE_FORM,
     EQUIVALENT,
     INDETERMINATE,
     MATCHED,
@@ -477,6 +481,67 @@ def test_c10_sparse_support_completeness():
     )
 
 
+# ------------------------------------------------------------ criterion 12
+
+
+def rotate_amplitudes(psi: np.ndarray, unitaries) -> np.ndarray:
+    """(U_1 x ... x U_n) psi, one tensordot per qubit axis."""
+    n = len(unitaries)
+    t = psi.reshape((2,) * n)
+    for k, u in enumerate(unitaries):
+        t = np.moveaxis(np.tensordot(u, t, axes=([1], [k])), 0, k)
+    return t.ravel()
+
+
+def vector_residual(psi, psi_prime, unitaries) -> float:
+    """||rho' - U rho U^dag||_F of unit vectors, from the aligned difference.
+
+    With d = min over theta of ||psi' - e^{i theta} U psi|| the distance of
+    the projectors is sqrt(2) d sqrt(1 - d^2 / 4).
+    """
+    image = rotate_amplitudes(psi, unitaries)
+    overlap = np.vdot(image, psi_prime)
+    d = float(np.linalg.norm(psi_prime - overlap / abs(overlap) * image))
+    return float(np.sqrt(2.0) * d * np.sqrt(1.0 - d * d / 4.0))
+
+
+def test_c12_large_pure_pairs():
+    """Two Haar pure states per n in 12..16, each against a locally rotated
+    copy and against that copy's complex conjugate: every copy certified
+    with independent vector residual <= 1e-9, every conjugate rejected
+    by_trace_form."""
+    rng = make_rng(12000)
+    t0 = time.monotonic()
+    misses = []
+    worst = 0.0
+    for n in range(12, 17):
+        for _ in range(2):
+            psi = rng.normal(size=2 ** n) + 1j * rng.normal(size=2 ** n)
+            psi /= np.linalg.norm(psi)
+            unitaries = [haar_local_unitary(rng) for _ in range(n)]
+            psi_prime = rotate_amplitudes(psi, unitaries)
+            state = from_pure_amplitudes(psi)
+            verdict = decide_lu_equivalence(state, from_pure_amplitudes(psi_prime))
+            if verdict.outcome != EQUIVALENT:
+                misses.append((n, "rotated", verdict.outcome))
+            else:
+                res = vector_residual(psi, psi_prime, verdict.witness.unitaries)
+                worst = max(worst, res)
+                if res > 1e-9:
+                    misses.append((n, "residual", res))
+            verdict = decide_lu_equivalence(state, from_pure_amplitudes(np.conj(psi_prime)))
+            if (verdict.outcome, verdict.reason) != (NOT_EQUIVALENT, BY_TRACE_FORM):
+                misses.append((n, "conjugate", verdict.outcome, verdict.reason))
+    elapsed = time.monotonic() - t0
+    _report(
+        not misses,
+        f"C12 large pure pairs: {10 - sum(m[1] != 'conjugate' for m in misses)}/10 rotated "
+        f"copies certified at n = 12..16, max vector residual {worst:.2e} <= 1e-9, "
+        f"{10 - sum(m[1] == 'conjugate' for m in misses)}/10 conjugates rejected by_trace_form, "
+        f"{elapsed:.1f}s" + (f", misses {misses[:3]}" if misses else ""),
+    )
+
+
 CRITERIA = [
     test_c1_completeness_on_constructed_pairs,
     test_c2_soundness_no_false_equivalence,
@@ -488,6 +553,7 @@ CRITERIA = [
     test_c8_degenerate_marginals_fallback,
     test_c9_determinism,
     test_c10_sparse_support_completeness,
+    test_c12_large_pure_pairs,
 ]
 
 

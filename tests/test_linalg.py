@@ -11,12 +11,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from luequiv.linalg import (
+    apply_local,
     conjugate_local,
     dagger,
     eig_hermitian_2x2,
     frobenius_distance,
     kron_all,
     partial_trace,
+    projector_distance,
 )
 from tests.conftest import I2, SX, SY, SZ, kron_chain, w_state
 
@@ -204,3 +206,29 @@ def test_partial_trace_is_trace_preserving(seed):
     marginal = partial_trace(rho, n, keep)
     assert abs(np.trace(marginal) - 1) < 1e-12
     assert np.allclose(marginal, marginal.conj().T, atol=1e-12)
+
+
+@pytest.mark.parametrize("n", [1, 3, 6])
+def test_apply_local_matches_kron_chain_on_vectors(n):
+    rng = np.random.default_rng(90 + n)
+    psi = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+    factors = [rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)) for _ in range(n)]
+    factors[0] = None
+    u = kron_chain([I2 if f is None else f for f in factors])
+    assert np.allclose(apply_local(psi, factors), u @ psi, atol=1e-12)
+    with pytest.raises(ValueError):
+        apply_local(psi, factors + [SX])
+
+
+def test_projector_distance_matches_dense_frobenius():
+    rng = np.random.default_rng(95)
+    for _ in range(20):
+        u = rng.normal(size=8) + 1j * rng.normal(size=8)
+        v = rng.normal(size=8) + 1j * rng.normal(size=8)
+        u, v = u / np.linalg.norm(u), v / np.linalg.norm(v)
+        dense = np.linalg.norm(np.outer(u, u.conj()) - np.outer(v, v.conj()))
+        assert projector_distance(u, v) == pytest.approx(dense, rel=1e-12)
+    # invariant under a global phase, and sqrt(2) for orthogonal vectors
+    assert projector_distance(u, np.exp(0.4j) * u) < 1e-15
+    e0, e1 = np.eye(2, dtype=complex)
+    assert projector_distance(e0, e1) == pytest.approx(np.sqrt(2.0), rel=1e-15)

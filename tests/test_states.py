@@ -1,5 +1,7 @@
 """State validation, marginals, and Bloch vectors."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,7 +15,7 @@ from luequiv import (
     reduced_qubit,
     validate_state,
 )
-from luequiv.states import MAX_QUBITS
+from luequiv.states import MAX_PURE_QUBITS, MAX_QUBITS
 from tests.conftest import SX, SY, SZ, ghz_state, w_state
 
 
@@ -149,3 +151,69 @@ def test_bloch_norm_at_most_one(seed, n):
     state = from_pure_amplitudes(amp)
     for qubit in range(1, n + 1):
         assert bloch_vector(reduced_qubit(state, qubit)).norm <= 1 + 1e-10
+
+
+def test_pure_state_keeps_its_amplitudes(monkeypatch):
+    # a pure input is stored as a unit vector; nothing is diagonalized
+    def no_eigvalsh(*args, **kwargs):
+        raise AssertionError("eigvalsh called for a pure input")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", no_eigvalsh)
+    amp = np.array([3.0, 0.0, 4.0j, 0.0])
+    state = from_pure_amplitudes(amp)
+    assert state.n == 2
+    assert np.array_equal(state.amplitudes, amp / 5.0)
+    assert not state.amplitudes.flags.writeable
+    assert state.purity == 1.0
+    assert np.array_equal(state.spectrum, [1.0, 0.0, 0.0, 0.0])
+    assert state.dense is None
+
+
+def test_pure_matrix_is_built_once_from_the_amplitudes():
+    rng = np.random.Generator(np.random.Philox(3))
+    amp = rng.normal(size=8) + 1j * rng.normal(size=8)
+    state = from_pure_amplitudes(amp)
+    psi = amp / np.linalg.norm(amp)
+    m = state.matrix
+    assert np.allclose(m, np.outer(psi, psi.conj()), atol=1e-15)
+    assert np.array_equal(m, m.conj().T)
+    assert not m.flags.writeable
+    assert state.matrix is m
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10 ** 6), n=st.integers(1, 5))
+def test_pure_marginals_match_the_dense_partial_trace(seed, n):
+    rng = np.random.Generator(np.random.Philox(seed))
+    amp = rng.normal(size=2 ** n) + 1j * rng.normal(size=2 ** n)
+    pure = from_pure_amplitudes(amp)
+    psi = amp / np.linalg.norm(amp)
+    dense = validate_state(np.outer(psi, psi.conj()))
+    for qubit in range(1, n + 1):
+        assert np.allclose(reduced_qubit(pure, qubit), reduced_qubit(dense, qubit), atol=1e-14)
+    with pytest.raises(ValueError):
+        reduced_qubit(pure, n + 1)
+
+
+def test_pure_cap_is_sixteen_qubits():
+    assert MAX_PURE_QUBITS == 16
+    assert from_pure_amplitudes(np.ones(2 ** 12)).n == 12
+    with pytest.raises(StateValidationError) as err:
+        from_pure_amplitudes(np.ones(2 ** (MAX_PURE_QUBITS + 1)))
+    assert err.value.check == "shape"
+
+
+def test_dense_matrix_of_twelve_qubits_raises_without_allocating():
+    # the 2**12 x 2**12 matrix would take 256 MB; asking for it must fail
+    # before any of that is allocated
+    state = from_pure_amplitudes(np.ones(2 ** 12))
+    tracemalloc.start()
+    try:
+        with pytest.raises(StateValidationError) as err:
+            state.matrix
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert err.value.check == "shape"
+    assert peak < 2 ** 20
+    assert state.dense is None
