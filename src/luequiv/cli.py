@@ -22,7 +22,6 @@ from .engine import (
 from .oracle import lu_fit_oracle, random_mixed_state, random_pure_amplitudes, random_state_with_bloch_floor
 from .pauli import expand
 from .serialize import (
-    StateFileError,
     config_from_flags,
     emit_mixed_state_file,
     emit_pure_state_file,
@@ -32,7 +31,7 @@ from .serialize import (
     sha256_digest,
     verdict_report,
 )
-from .states import StateValidationError, bloch_vector, from_pure_amplitudes, reduced_qubit
+from .states import MAX_PURE_QUBITS, MAX_QUBITS, bloch_vector, from_pure_amplitudes, reduced_qubit
 from .traceform import to_trace_form
 
 USAGE_ERROR = 3
@@ -178,6 +177,9 @@ def _cmd_pauli(args) -> int:
 def _cmd_gen(args) -> int:
     if args.n < 1:
         raise CliError(f"--n must be positive, got {args.n}")
+    cap = MAX_PURE_QUBITS if args.kind == "pure" else MAX_QUBITS
+    if args.n > cap:
+        raise CliError(f"{args.n} qubits exceeds the cap of {cap} for {args.kind} states")
     label = args.label or f"{args.kind} n={args.n} seed={args.seed}"
     if args.min_bloch is not None:
         rank = 1 if args.kind == "pure" else args.rank
@@ -233,13 +235,7 @@ def run_command(argv) -> int:
         return _COMMANDS[args.command](args)
     except SystemExit as exc:  # argparse --version / --help
         return int(exc.code or 0)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    except (StateFileError, StateValidationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    except ValueError as exc:
+    except (CliError, ValueError) as exc:  # StateFileError and StateValidationError included
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

@@ -23,8 +23,9 @@ a phase.  Those instances come back Indeterminate unless the optional SU(2)
 fallback is enabled.  A partial trace over the mixed qubits commutes with
 their unitaries, so the phase solve on the other qubits' reductions is still
 a necessary condition: when it fails the verdict is Indeterminate at once,
-and when it matches, a seeded search over the mixed qubits' SU(2) factors
-looks for a witness.
+and when it matches, a seeded block coordinate descent over the mixed
+qubits' SU(2) factors looks for a witness; each of its steps is the exact
+best factor of one qubit, the top eigenvector of a 4x4 quaternion matrix.
 """
 
 from __future__ import annotations
@@ -34,10 +35,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linalg import (
+    PAULIS,
     apply_local,
     conjugate_local,
     dagger,
-    euler_unitary,
     frobenius_distance,
     make_rng,
     projector_distance,
@@ -56,9 +57,9 @@ BY_TRACE_FORM = "by_trace_form"
 MATCHED = "matched"
 NO_SOLUTION = "no_solution"
 
-# coordinate descent converges linearly with an instance-dependent rate;
-# the deep budget only gets spent on runs that are actually descending,
-# since plateaus break out after a handful of sweeps
+# block coordinate descent converges linearly with an instance-dependent
+# rate; the deep budget only gets spent on runs that are actually
+# descending, since plateaus break out after a handful of sweeps
 FALLBACK_SWEEPS = 2500
 
 
@@ -75,9 +76,10 @@ class EngineConfig:
     degeneracy_tol is the marginal eigenvalue gap below which a qubit counts
     as maximally mixed.  The phase solve is exact and has no budget.  The
     SU(2) fallback is off by default; it runs fallback_restarts seeded
-    restarts of at most FALLBACK_SWEEPS coordinate sweeps each.  The three
-    tolerances must be finite and positive and fallback_restarts at least 1;
-    anything else raises ValueError.
+    restarts of at most FALLBACK_SWEEPS block coordinate sweeps each, and
+    seed draws the starting factors of every restart after the first.  The
+    three tolerances must be finite and positive and fallback_restarts at
+    least 1; anything else raises ValueError.
     """
 
     tol: float = 1e-9
@@ -549,6 +551,27 @@ def assemble_witness(
 # ---------------------------------------------------------------------------
 
 
+# E = (I, iX, iY, iZ): a unit real q gives sum_mu q_mu E_mu in SU(2)
+_QUATERNION = PAULIS * np.array([1.0, 1j, 1j, 1j])[:, None, None]
+
+
+def _best_su2_factor(target: np.ndarray, r: np.ndarray, k: int) -> np.ndarray:
+    """The U in SU(2) on qubit k (0-based) minimizing ||target - U r U^dag||_F.
+
+    Both matrices are Hermitian, so the squared distance is a constant less
+    2 Re Tr(target U r U^dag), and with U = sum_mu q_mu E_mu that trace is the
+    quadratic form q^T K q,  K_mu,nu = Re sum E_mu[j,i] conj(E_nu[m,l]) W[m,j,i,l]
+    for W the contraction of target and r over every other qubit.  The best
+    unit q is the top eigenvector of K + K^T (Horn's quaternion solution).
+    """
+    left = 2**k
+    six = (left, 2, r.shape[0] // (2 * left)) * 2
+    w = np.tensordot(target.reshape(six), r.reshape(six), axes=([0, 2, 3, 5], [3, 5, 0, 2]))
+    kq = np.einsum("mjil,aji,bml->ab", w, _QUATERNION, _QUATERNION.conj()).real
+    q = np.linalg.eigh(kq + kq.T)[1][:, -1]
+    return np.tensordot(q, _QUATERNION, axes=1)
+
+
 def su2_fallback(
     a: NQubitState,
     b: NQubitState,
@@ -562,14 +585,14 @@ def su2_fallback(
 
     It runs after phase_match matched the other qubits, so each of those keeps
     the fixed U_i = V'_i diag(e^{iw_i}, e^{-iw_i}) V_i^dag from phases, and
-    each mixed qubit contributes three Euler angles of period 2 pi.  The
-    witness residual is minimized by multi-start cyclic coordinate descent:
-    along any single angle the squared residual is const + a cos + b sin, so
-    every coordinate step is an exact global minimization from three
-    samples.  The fixed factors are applied to a once, so each evaluation
-    contracts only the mixed qubits, and a probe rebuilds only the factor of
-    the qubit whose angle it moves.  Returns the witness, None when no
-    restart reaches tolerance, and the number of objective evaluations.
+    each mixed qubit k gets a free factor U_k in SU(2).  The witness residual
+    is minimized by multi-start block coordinate descent: one step replaces
+    U_k by the exact minimizer of ||rho_b - U_k R U_k^dag||_F, where R is a
+    with the fixed factors and the other mixed ones applied (_best_su2_factor).
+    Restart 0 starts every U_k at the identity, the others at seeded random
+    unit quaternions.  Each sweep of steps ends with one direct residual.
+    Returns the witness, None when no restart reaches tolerance, and the
+    number of block steps plus residual evaluations.
     """
     mixed = set(mixed_qubits)
     fixed = [
@@ -577,62 +600,26 @@ def su2_fallback(
         for f, g, w in zip(ta.frames, tb.frames, phases.omegas)
     ]
     a_fixed = conjugate_local(a.matrix, fixed)
-    # the angles of the i-th mixed qubit, on axis positions[i], are
-    # theta[3 i : 3 i + 3]
     positions = [k for k, u in enumerate(fixed) if u is None]
     evaluations = 0
-
-    def mixed_factor(k: int, angles: list[float]) -> np.ndarray:
-        return _frame_unitary(ta.frames[k], tb.frames[k], euler_unitary(*angles))
-
-    def mixed_factors(theta: np.ndarray) -> list[np.ndarray | None]:
-        factors: list[np.ndarray | None] = [None] * a.n
-        for k, angles in zip(positions, theta.reshape(-1, 3).tolist()):
-            factors[k] = mixed_factor(k, angles)
-        return factors
-
-    def objective(factors: list[np.ndarray | None]) -> float:
-        nonlocal evaluations
-        evaluations += 1
-        d = b.matrix - conjugate_local(a_fixed, factors)
-        return float(np.sum(np.abs(d) ** 2))
-
     rng = make_rng(config.seed)
-    dim = 3 * len(mixed)
-    period = 2.0 * np.pi
     tol_sq = config.tol**2
 
     for start in range(config.fallback_restarts):
-        if start == 0:
-            theta = np.zeros(dim)
-        else:
-            theta = rng.uniform(0.0, period, dim)
-        factors = mixed_factors(theta)
-        f = objective(factors)
+        factors: list[np.ndarray | None] = [None] * a.n
+        for k in positions:
+            q = rng.normal(size=4) if start else np.array([1.0, 0.0, 0.0, 0.0])
+            factors[k] = np.tensordot(q / np.linalg.norm(q), _QUATERNION, axes=1)
+        f = np.inf
         for _ in range(FALLBACK_SWEEPS):
             prev = f
-            for j in range(dim):
-                # coordinate j moves angle e of the i-th mixed qubit only
-                i, e = divmod(j, 3)
-                k = positions[i]
-                base = theta[j]
-                probe = list(factors)
-                angles = theta[3 * i : 3 * i + 3].tolist()
-                angles[e] = float(base + period / 3.0)
-                probe[k] = mixed_factor(k, angles)
-                f1 = objective(probe)
-                angles[e] = float(base + 2.0 * period / 3.0)
-                probe[k] = mixed_factor(k, angles)
-                f2 = objective(probe)
-                # f(u) = a0 + a1 cos u + b1 sin u sampled at u = 0, 2pi/3, 4pi/3
-                a0 = (f + f1 + f2) / 3.0
-                a1 = (2.0 * f - f1 - f2) / 3.0
-                b1 = (f1 - f2) / np.sqrt(3.0)
-                u_star = np.arctan2(-b1, -a1)
-                theta[j] = base + period * u_star / (2.0 * np.pi)
-                factors[k] = mixed_factor(k, theta[3 * i : 3 * i + 3].tolist())
-                f = a0 - np.hypot(a1, b1)
-            f = objective(factors)  # refresh against drift of the analytic value
+            for k in positions:
+                others = list(factors)
+                others[k] = None
+                factors[k] = _best_su2_factor(b.matrix, conjugate_local(a_fixed, others), k)
+            # the analytic optimum cancels near tol^2: measure the residual
+            f = float(np.sum(np.abs(b.matrix - conjugate_local(a_fixed, factors)) ** 2))
+            evaluations += len(positions) + 1
             if f <= tol_sq * 0.01:
                 break
             # descent toward zero keeps a steady relative improvement per

@@ -3,9 +3,7 @@
 Everything here operates on plain complex128 ndarrays.  Qubit 1 is the
 leftmost (most significant) tensor factor throughout the package, so the
 computational-basis row index of an n-qubit matrix reads as the bit string
-b1 b2 ... bn.  The seeded generator and the Euler parametrization live here
-too, so the engine and the independent oracle share them without either
-importing the other.
+b1 b2 ... bn.
 """
 
 from __future__ import annotations
@@ -35,18 +33,6 @@ def make_rng(seed) -> np.random.Generator:
     if isinstance(seed, np.random.Generator):
         return seed
     return np.random.Generator(np.random.Philox(seed))
-
-
-def euler_unitary(alpha: float, beta: float, gamma: float) -> np.ndarray:
-    """ZYZ product e^{i alpha Z/2} e^{i beta Y/2} e^{i gamma Z/2}, written out."""
-    cb = np.cos(0.5 * beta)
-    sb = np.sin(0.5 * beta)
-    return np.array(
-        [
-            [cb * np.exp(0.5j * (alpha + gamma)), sb * np.exp(0.5j * (alpha - gamma))],
-            [-sb * np.exp(-0.5j * (alpha - gamma)), cb * np.exp(-0.5j * (alpha + gamma))],
-        ]
-    )
 
 
 def kron_all(mats, max_dim: int = MAX_KRON_DIM) -> np.ndarray:

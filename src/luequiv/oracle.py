@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import dagger, euler_unitary, frobenius_distance, kron_all, make_rng
+from .linalg import dagger, frobenius_distance, kron_all, make_rng
 from .states import NQubitState, from_pure_amplitudes, validate_state
 
 DEFAULT_MIN_BLOCH = 0.05
@@ -127,6 +127,18 @@ class OracleFit:
     unitaries: tuple[np.ndarray, ...]
     evaluations: int
     budget_exhausted: bool
+
+
+def euler_unitary(alpha: float, beta: float, gamma: float) -> np.ndarray:
+    """ZYZ product e^{i alpha Z/2} e^{i beta Y/2} e^{i gamma Z/2}, written out."""
+    cb = np.cos(0.5 * beta)
+    sb = np.sin(0.5 * beta)
+    return np.array(
+        [
+            [cb * np.exp(0.5j * (alpha + gamma)), sb * np.exp(0.5j * (alpha - gamma))],
+            [-sb * np.exp(-0.5j * (alpha - gamma)), cb * np.exp(-0.5j * (alpha + gamma))],
+        ]
+    )
 
 
 def _angles_to_unitaries(angles: np.ndarray, n: int) -> list[np.ndarray]:

@@ -7,6 +7,7 @@ Exit code contract: 0 equivalent, 1 not equivalent, 2 indeterminate,
 import json
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -189,6 +190,24 @@ def test_gen_min_bloch(tmp_path):
     state = parse_state_file(out)
     for q in (1, 2):
         assert bloch_vector(reduced_qubit(state, q)).norm >= 0.1
+
+
+@pytest.mark.parametrize("n, kind", [("17", "pure"), ("11", "mixed")])
+@pytest.mark.parametrize("floor", [[], ["--min-bloch", "0.05"]])
+def test_gen_refuses_above_the_qubit_cap(tmp_path, capsys, n, kind, floor):
+    # refused before any sampling: a 17-qubit draw alone would take 2 MB
+    out = tmp_path / "big.json"
+    argv = ["gen", "--n", n, "--kind", kind, "--seed", "1", *floor, "--out", str(out)]
+    tracemalloc.start()
+    try:
+        code = run_command(argv)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 3
+    assert "exceeds the cap" in capsys.readouterr().err
+    assert not out.exists()
+    assert peak < 2**20
 
 
 def test_pauli_table(pair_files, capsys):

@@ -34,6 +34,7 @@ from luequiv.engine import (
     MATCHED,
     NO_SOLUTION,
     NOT_EQUIVALENT,
+    _best_su2_factor,
     assemble_witness,
     smith_form,
 )
@@ -45,6 +46,7 @@ from tests.conftest import (
     dephased,
     direct_residual,
     ghz_state,
+    kron_chain,
     lu_equivalent_pair,
     schmidt_state,
     w_state,
@@ -393,6 +395,45 @@ def test_partially_mixed_pair_fallback():
     verdict = decide_lu_equivalence(state, rotated, EngineConfig(fallback=True))
     assert verdict.outcome == EQUIVALENT
     assert direct_residual(state, rotated, verdict.witness.unitaries) < 1e-7
+
+
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_best_su2_factor_is_the_exact_block_minimizer(k):
+    # a planted rotation of qubit k is recovered to rounding, and no sampled
+    # SU(2) element beats the closed form on an unrelated target
+    rng = make_rng(70 + k)
+    a = random_mixed_state(3, 2, rng).matrix
+
+    def residual(target, v):
+        op = kron_all([v if i == k else I2 for i in range(3)])
+        return np.linalg.norm(target - op @ a @ op.conj().T)
+
+    u = haar_local_unitary(rng)
+    op = kron_all([u if i == k else I2 for i in range(3)])
+    planted = op @ a @ op.conj().T
+    best = _best_su2_factor(planted, a, k)
+    assert np.linalg.norm(best @ best.conj().T - I2) < 1e-12
+    assert abs(np.linalg.det(best) - 1) < 1e-12
+    assert residual(planted, best) < 1e-12
+
+    other = random_mixed_state(3, 2, rng).matrix
+    floor = residual(other, _best_su2_factor(other, a, k))
+    assert all(floor <= residual(other, haar_local_unitary(rng)) + 1e-12 for _ in range(200))
+
+
+def test_bell_diagonal_fallback_certifies():
+    # both marginals maximally mixed, so the whole witness comes from the
+    # SU(2) search
+    weights = make_rng(6).dirichlet(np.ones(4))
+    bell_basis = np.array([[1, 0, 0, 1], [1, 0, 0, -1], [0, 1, 1, 0], [0, 1, -1, 0]]) / np.sqrt(2)
+    rho = sum(w * np.outer(beta, beta) for w, beta in zip(weights, bell_basis)).astype(complex)
+    rng = make_rng(1006)
+    u = kron_chain([haar_local_unitary(rng) for _ in range(2)])
+    a, b = validate_state(rho), validate_state(u @ rho @ u.conj().T)
+    verdict = decide_lu_equivalence(a, b, EngineConfig(fallback=True))
+    assert verdict.outcome == EQUIVALENT
+    assert verdict.mixed_qubits == (1, 2)
+    assert direct_residual(a, b, verdict.witness.unitaries) <= 1e-9
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])

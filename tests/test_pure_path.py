@@ -11,7 +11,6 @@ import tracemalloc
 import numpy as np
 import pytest
 
-import luequiv.engine
 import luequiv.traceform
 from luequiv import (
     EngineConfig,
@@ -231,14 +230,17 @@ def test_cli_refuses_dense_work_above_ten_qubits(tmp_path, capsys):
         assert "exceeds the cap" in capsys.readouterr().err
 
 
-def test_fallback_rebuilds_only_the_probed_factor(monkeypatch):
-    # three mixed qubits: a probe used to rebuild all three Euler factors,
-    # now it rebuilds one (two probes and one accepted angle per coordinate)
+def test_fallback_solves_each_ghz_factor_in_one_step():
+    # every GHZ3 marginal is maximally mixed; the first sweep from the
+    # identity already lands on a witness, so the search costs one block
+    # step per mixed qubit and one residual
     rng = make_rng(47)
     ghz = from_pure_amplitudes(ghz_amplitudes(3))
-    rotated = apply_local_unitaries(ghz, [haar_local_unitary(rng) for _ in range(3)])
-    euler = counted(monkeypatch, luequiv.engine, "euler_unitary")
-    verdict = decide_lu_equivalence(ghz, rotated, EngineConfig(fallback=True))
-    assert verdict.outcome == EQUIVALENT
-    evaluations = verdict.diagnostics["fallback_evaluations"]
-    assert 0 < len(euler) <= 1.5 * evaluations
+    for _ in range(5):
+        rotated = apply_local_unitaries(ghz, [haar_local_unitary(rng) for _ in range(3)])
+        verdict = decide_lu_equivalence(ghz, rotated, EngineConfig(fallback=True))
+        assert verdict.outcome == EQUIVALENT
+        mixed = len(verdict.mixed_qubits)
+        assert mixed == 3
+        assert 0 < verdict.diagnostics["fallback_evaluations"] <= 2 * (mixed + 1)
+        assert direct_residual(ghz, rotated, verdict.witness.unitaries) <= 1e-9
