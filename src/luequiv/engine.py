@@ -12,11 +12,20 @@ The pipeline follows the trace-decomposition protocol:
    U_i = V'_i diag(e^{iw_i}, e^{-iw_i}) V_i^dag whose residual is recomputed
    from the original inputs before an Equivalent verdict is issued.
 
-A pair of pure inputs runs every stage on the amplitude vectors, in
-O(n 2**n): the trace form is (V_1^dag x ... x V_n^dag) psi, trace-form entries
-are psi_r conj(psi_c), and the witness residual follows from the distance of
-the vectors.  The density matrices are built only where the SU(2) fallback
-needs them.
+A state with a factor G (rho ~ G G^dag, see states) runs every stage on
+it: the trace form is (V_1^dag x ... x V_n^dag) G, and the witness residual
+is taken against (U G)(U G)^dag.  Two rank-1 factors (pure states) are
+compared as vectors throughout, in O(n 2**n): trace-form entries are
+psi_r conj(psi_c), and the witness residual follows from the distance of
+the vectors.  Any other rank reads the phase equations from the trace
+forms' G G^dag.  The SU(2) fallback works on the density matrices.
+
+A factor's error e = ||rho - G G^dag||_F is carried into the verdict: with
+eps = e_a + e_b, every distance taken on the factors is within eps of the
+same distance on the inputs (unitary invariance).  So eps is added to every
+residual that is reported or accepted, and subtracted from every lower
+bound a rejection rests on: the preflight gaps, the modulus bound and the
+branch scores.  A dense-only state has e = 0.
 
 Qubits with (near-)degenerate marginals admit a full SU(2) freedom instead of
 a phase.  Those instances come back Indeterminate unless the optional SU(2)
@@ -168,15 +177,22 @@ def preflight_invariants(
     Reports the first failing invariant (global spectrum first, then qubits
     in index order) together with its gap.  frames, when given, are the
     local_eigenframes of a and of b, whose eigenvalues are the marginal
-    spectra.
+    spectra.  The gaps are lower bounds for the inputs: spectra read from
+    factors are those of G G^dag, so with eps = a.factor_error +
+    b.factor_error the global gap drops by eps (Weyl) and each marginal gap
+    by 2^((n-1)/2) eps, the most a partial trace over n - 1 qubits moves an
+    eigenvalue per unit of Frobenius norm.  Gaps are floored at 0.
     """
     if a.n != b.n:
         raise ValueError(f"qubit counts differ: {a.n} vs {b.n}")
     if frames is None:
         frames = (local_eigenframes(a), local_eigenframes(b))
-    global_gap = float(np.max(np.abs(a.spectrum - b.spectrum)))
+    eps = a.factor_error + b.factor_error
+    global_gap = max(float(np.max(np.abs(a.spectrum - b.spectrum))) - eps, 0.0)
+    marginal_eps = eps * 2.0 ** ((a.n - 1) / 2.0)
     marginal_gaps = [
-        float(np.max(np.abs(fa.eigenvalues - fb.eigenvalues))) for fa, fb in zip(*frames)
+        max(float(np.max(np.abs(fa.eigenvalues - fb.eigenvalues))) - marginal_eps, 0.0)
+        for fa, fb in zip(*frames)
     ]
     failed = None
     qubit = None
@@ -347,7 +363,7 @@ class _DenseEntries(_Entries):
 
 
 class _PureEntries(_Entries):
-    """Entries psi_r conj(psi_c) and phi_r conj(phi_c) of two pure trace forms.
+    """Entries psi_r conj(psi_c) and phi_r conj(phi_c) of two rank-1 trace forms.
 
     No matrix is built.  The candidates are the row of one anchor index,
     the one with the largest min(|psi_r|, |phi_r|): the differences within a
@@ -415,11 +431,15 @@ def phase_match(t: TraceForm, t_prime: TraceForm, tol: float) -> PhaseMatchResul
        residual.  Survivors get the full residual, and the first within tol
        is matched.  no_solution means that no branch is.
 
-    Two pure trace forms with no mixed qubit are read from their amplitudes
+    Two rank-1 trace forms with no mixed qubit are read from their vectors
     (_PureEntries), in O(n 2**n); otherwise from the density matrices
     (_DenseEntries).  The residual is the Frobenius distance of the matrices
     reduced to the m non-mixed of n qubits, divided by 2^((n-m)/2): the
     distance of those reductions tensored with the maximally mixed state.
+    The trace forms' factor errors, eps in total, move that residual by at
+    most eps, so the modulus bound and the branch scores drop by eps before
+    they reject, and a matched residual is reported with eps added.  A
+    no_solution residual is the smallest such lower bound, floored at 0.
     """
     n = t.state.n
     if n != t_prime.state.n:
@@ -428,7 +448,7 @@ def phase_match(t: TraceForm, t_prime: TraceForm, tol: float) -> PhaseMatchResul
         [not (f.maximally_mixed or g.maximally_mixed) for f, g in zip(t.frames, t_prime.frames)]
     )
     m = int(active.sum())
-    if m == n and t.state.amplitudes is not None and t_prime.state.amplitudes is not None:
+    if m == n and t.state.rank == 1 and t_prime.state.rank == 1:
         entries = _PureEntries(t.state.amplitudes, t_prime.state.amplitudes)
     else:
         entries = _DenseEntries(
@@ -436,8 +456,10 @@ def phase_match(t: TraceForm, t_prime: TraceForm, tol: float) -> PhaseMatchResul
         )
     scale = 2.0 ** ((n - m) / 2.0)
     tol_r = tol * scale
+    # a partial trace over n - m qubits grows a Frobenius norm at most by scale
+    eps_r = (t.state.factor_error + t_prime.state.factor_error) * scale
 
-    bound = entries.bound()
+    bound = entries.bound() - eps_r
     if bound > tol_r:
         return PhaseMatchResult(status=NO_SOLUTION, assignment=None, residual=bound / scale)
 
@@ -460,17 +482,20 @@ def phase_match(t: TraceForm, t_prime: TraceForm, tol: float) -> PhaseMatchResul
         y[: len(d)] = (target + np.pi * np.array(shift)) / d
         w = np.mod(v @ y, np.pi)
         mismatch = b_top - np.exp(2j * (top_rows @ w)) * a_top
-        score = float(np.sqrt(2.0) * np.linalg.norm(mismatch))
-        if score <= tol_r:
-            score = entries.residual(w)
-            if score <= tol_r:
+        low = float(np.sqrt(2.0) * np.linalg.norm(mismatch)) - eps_r
+        if low <= tol_r:
+            residual = entries.residual(w)
+            if residual + eps_r <= tol_r:
                 omegas = np.zeros(n)
                 omegas[active] = w
                 omegas.flags.writeable = False
                 assignment = PhaseAssignment(omegas=omegas)
-                return PhaseMatchResult(MATCHED, assignment, score / scale, branches, min_modulus)
-        best = min(best, score)
-    return PhaseMatchResult(NO_SOLUTION, None, best / scale, branches, min_modulus)
+                return PhaseMatchResult(
+                    MATCHED, assignment, (residual + eps_r) / scale, branches, min_modulus
+                )
+            low = residual - eps_r
+        best = min(best, low)
+    return PhaseMatchResult(NO_SOLUTION, None, max(best, 0.0) / scale, branches, min_modulus)
 
 
 # ---------------------------------------------------------------------------
@@ -505,10 +530,20 @@ def _frame_unitary(f: LocalEigenframe, g: LocalEigenframe, core: np.ndarray) -> 
 
 
 def _witness_residual(us, original: NQubitState, original_prime: NQubitState) -> float:
-    """||rho' - U rho U^dag||_F, on the amplitudes when both inputs are pure."""
-    if original.amplitudes is not None and original_prime.amplitudes is not None:
-        return projector_distance(original_prime.amplitudes, apply_local(original.amplitudes, us))
-    return frobenius_distance(original_prime.matrix, conjugate_local(original.matrix, us))
+    """An upper bound of ||rho' - U rho U^dag||_F, exact up to the factor errors it adds.
+
+    A factor G of rho is rotated to U G.  Two rank-1 factors are compared as
+    vectors, adding both errors; otherwise (U G)(U G)^dag is compared with
+    the matrix of rho', adding the error of rho.  A dense-only rho is
+    conjugated whole.
+    """
+    if original.factor is None:
+        return frobenius_distance(original_prime.matrix, conjugate_local(original.matrix, us))
+    ug = apply_local(original.factor, us)
+    if ug.shape[1] == 1 and original_prime.rank == 1:
+        distance = projector_distance(original_prime.amplitudes, ug[:, 0])
+        return distance + original.factor_error + original_prime.factor_error
+    return frobenius_distance(original_prime.matrix, ug @ dagger(ug)) + original.factor_error
 
 
 def _finalize_witness(
@@ -676,7 +711,7 @@ def decide_lu_equivalence(
     mixed = tuple(
         f.qubit for f, g in zip(ta.frames, tb.frames) if f.maximally_mixed or g.maximally_mixed
     )
-    direct = state_distance(ta.state, tb.state)
+    direct = state_distance(ta.state, tb.state) + a.factor_error + b.factor_error
     diagnostics["direct_distance"] = direct
 
     if mixed and not config.fallback:

@@ -1,8 +1,11 @@
 """Validated n-qubit states and their basic reductions.
 
-A state given by amplitudes stays a unit vector: its marginals, trace form,
-phase solve and witness check all run on the 2**n amplitudes.  The dense
-2**n x 2**n matrix is built from them only when a caller asks for it.
+A state of low rank r is carried as a factor G (2**n x r) with rho ~ G G^dag,
+and every stage that can runs on G: marginals, trace form, phase solve and
+witness check.  A pure state given by amplitudes is the exact case r = 1.
+validate_state finds G by pivoted Cholesky and keeps it, with its measured
+error ||rho - G G^dag||_F, only when that error is at most FACTOR_TOL.  A
+state with no factor is dense-only and runs every stage on its matrix.
 """
 
 from __future__ import annotations
@@ -11,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import dagger, frobenius_distance, partial_trace, projector_distance
+from .linalg import dagger, frobenius_distance, gram, partial_trace, projector_distance
 
 # dense matrices stop at 10 qubits (16 MB); amplitude vectors at 16 (1 MB)
 MAX_QUBITS = 10
@@ -20,6 +23,19 @@ MAX_PURE_QUBITS = 16
 TRACE_TOL = 1e-10
 HERMITICITY_TOL = 1e-10
 PSD_FLOOR = -1e-10
+# a factor is kept when ||m - G G^dag||_F <= FACTOR_TOL.  Exact Ginibre
+# inputs at n = 2..10 measure at most 6e-16, and those of rank 1..4 at
+# n = 2..8 written to 15 or 13 significant digits at most 3e-15 and 3e-13,
+# so all of them keep their factor.  The bound costs the decision tolerance
+# (1e-9) at most 0.2% per pair, and it stays below -PSD_FLOOR, which keeps
+# the PSD check sound on the factor.
+FACTOR_TOL = 1e-12
+# the pivoted Cholesky gives up after R_MAX columns.  Validating a pair and
+# deciding it on rank-r factors costs as much as on dense matrices from about
+# r = 32 at n = 6, 64 at n = 7, 128-256 at n = 8, 256-512 at n = 9 and
+# 512-1024 at n = 10 (Ginibre states, one BLAS thread), so 32 is below the
+# crossover at every n the dense path serves
+R_MAX = 32
 BLOCH_NORM_TOL = 1e-10
 
 
@@ -37,16 +53,19 @@ class NQubitState:
     """An n-qubit state that passed validation.
 
     spectrum is the descending global spectrum (eigenvalues in [-1e-10, 0)
-    clamped to 0), cached at construction.  A pure input keeps its read-only
-    unit amplitude vector in amplitudes, and dense stays None until matrix
-    is first read.  Any other state has amplitudes None and its read-only
-    density matrix in dense from the start.
+    clamped to 0), cached at construction.  factor, when set, is a read-only
+    2**n x r matrix G with ||rho - G G^dag||_F <= factor_error.  A pure state
+    from amplitudes is the case r = 1 with factor_error 0.  A validated
+    input keeps its read-only density matrix in dense from the start; a
+    state known by its factor alone builds G G^dag there when matrix is
+    first read.  A dense-only state has factor None.
     """
 
     n: int
     purity: float
     spectrum: np.ndarray
-    amplitudes: np.ndarray | None = None
+    factor: np.ndarray | None = None
+    factor_error: float = 0.0
     dense: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     @property
@@ -54,8 +73,18 @@ class NQubitState:
         return 2**self.n
 
     @property
+    def rank(self) -> int | None:
+        """The factor's column count r, None for a dense-only state."""
+        return None if self.factor is None else self.factor.shape[1]
+
+    @property
+    def amplitudes(self) -> np.ndarray | None:
+        """The column of a rank-1 factor, else None."""
+        return self.factor[:, 0] if self.rank == 1 else None
+
+    @property
     def matrix(self) -> np.ndarray:
-        """The read-only density matrix, built once from the amplitudes.
+        """The read-only density matrix: the validated input, or G G^dag built once.
 
         Raises StateValidationError, before allocating, when the state has
         more than MAX_QUBITS qubits.
@@ -67,8 +96,7 @@ class NQubitState:
                     float(self.n),
                     f"the dense matrix of {self.n} qubits exceeds the cap of {MAX_QUBITS}",
                 )
-            m = np.outer(self.amplitudes, np.conj(self.amplitudes))
-            m = 0.5 * (m + dagger(m))  # exactly Hermitian, as validate_state leaves it
+            m = gram(self.factor)  # exactly Hermitian, as validate_state leaves it
             m.flags.writeable = False
             object.__setattr__(self, "dense", m)
         return self.dense
@@ -90,7 +118,9 @@ def validate_state(matrix: np.ndarray, max_qubits: int = MAX_QUBITS) -> NQubitSt
 
     Raises StateValidationError naming the first violated property and its
     residual.  The PSD check tolerates eigenvalues down to -1e-10 and clamps
-    the stored spectrum at zero.
+    the stored spectrum at zero.  A matrix of rank at most R_MAX keeps a
+    factor (_low_rank_factor), and its spectrum is read from the r x r
+    G^dag G; any other matrix is diagonalized whole.
     """
     m = np.asarray(matrix, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -113,7 +143,15 @@ def validate_state(matrix: np.ndarray, max_qubits: int = MAX_QUBITS) -> NQubitSt
     if abs(tr - 1.0) > TRACE_TOL:
         raise StateValidationError("trace", abs(tr - 1.0), f"trace = {tr!r}, expected 1")
 
-    eigs = np.linalg.eigvalsh(m)
+    factor, error = _low_rank_factor(m)
+    if factor is None:
+        eigs = np.linalg.eigvalsh(m)
+    else:
+        # the nonzero eigenvalues of G G^dag are those of the r x r G^dag G,
+        # and by Weyl each eigenvalue of m lies within error <= FACTOR_TOL
+        # of these, so the PSD check below decides as eigvalsh(m) would
+        values = np.linalg.eigvalsh(dagger(factor) @ factor)
+        eigs = np.concatenate([np.zeros(dim - values.size), values])
     low = float(eigs.min())
     if low < PSD_FLOOR:
         raise StateValidationError("psd", -low, f"eigenvalue {low:.3e} below the PSD floor")
@@ -121,14 +159,44 @@ def validate_state(matrix: np.ndarray, max_qubits: int = MAX_QUBITS) -> NQubitSt
 
     purity = float(np.sum(np.abs(m) ** 2))  # Tr(m @ m) for Hermitian m
 
-    m = m.copy()
     m.flags.writeable = False
     spectrum.flags.writeable = False
-    return NQubitState(n=n, purity=purity, spectrum=spectrum, dense=m)
+    return NQubitState(
+        n=n, purity=purity, spectrum=spectrum, factor=factor, factor_error=error, dense=m
+    )
+
+
+def _low_rank_factor(m: np.ndarray) -> tuple[np.ndarray | None, float]:
+    """A read-only G with m ~ G G^dag and its error ||m - G G^dag||_F, or (None, 0).
+
+    Greedy pivoted Cholesky: each column pivots on the largest remaining
+    diagonal entry of the Schur complement, until the remaining diagonal
+    sum is at most FACTOR_TOL.  It gives up after R_MAX columns, and a
+    factor whose measured error exceeds FACTOR_TOL is not kept, which is
+    where an input with a negative eigenvalue ends.
+    """
+    dim = m.shape[0]
+    g = np.zeros((dim, min(R_MAX, dim)), dtype=complex)
+    rest = m.diagonal().real.copy()
+    r = 0
+    while rest.sum() > FACTOR_TOL:
+        if r == g.shape[1]:
+            return None, 0.0
+        p = int(np.argmax(rest))
+        # column p of the Schur complement; m is Hermitian, so row p conjugated
+        g[:, r] = (np.conj(m[p]) - g[:, :r] @ np.conj(g[p, :r])) / np.sqrt(rest[p])
+        rest -= np.abs(g[:, r]) ** 2
+        r += 1
+    g = np.ascontiguousarray(g[:, :r])
+    error = frobenius_distance(m, g @ dagger(g))
+    if not error <= FACTOR_TOL:
+        return None, 0.0
+    g.flags.writeable = False
+    return g, error
 
 
 def from_pure_amplitudes(amplitudes, max_qubits: int = MAX_PURE_QUBITS) -> NQubitState:
-    """A pure state kept as its normalized amplitude vector.
+    """A pure state kept as its normalized amplitude vector, an exact rank-1 factor.
 
     The length must be a power of two >= 2, checked against max_qubits
     before anything is allocated.  A unit vector's projector has spectrum
@@ -148,31 +216,34 @@ def from_pure_amplitudes(amplitudes, max_qubits: int = MAX_PURE_QUBITS) -> NQubi
     norm = float(np.linalg.norm(psi))
     if norm < 1e-12:
         raise StateValidationError("norm", norm, "amplitude vector has (near) zero norm")
-    psi = psi / norm
+    psi = (psi / norm)[:, None]
     spectrum = np.zeros(dim)
     spectrum[0] = 1.0
     psi.flags.writeable = False
     spectrum.flags.writeable = False
-    return NQubitState(n=n, purity=1.0, spectrum=spectrum, amplitudes=psi)
+    return NQubitState(n=n, purity=1.0, spectrum=spectrum, factor=psi)
 
 
 def reduced_qubit(state: NQubitState, i: int) -> np.ndarray:
     """Single-qubit marginal of qubit i (1-based).
 
-    A pure state's marginal is contracted from its amplitudes, O(2**n).
+    A state with a factor G has the marginal of G G^dag, contracted from G
+    in O(2**n r).
     """
-    if state.amplitudes is None:
+    if state.factor is None:
         return partial_trace(state.matrix, state.n, i)
     if not 1 <= i <= state.n:
         raise ValueError(f"keep={i} out of range 1..{state.n}")
-    t = state.amplitudes.reshape(2 ** (i - 1), 2, -1)
+    t = state.factor.reshape(2 ** (i - 1), 2, -1)
     return np.einsum("aib,ajb->ij", t, np.conj(t))
 
 
 def state_distance(a: NQubitState, b: NQubitState) -> float:
     """Frobenius distance of the two density matrices.
 
-    Two pure states are compared through their amplitudes (projector_distance).
+    Two states with rank-1 factors are compared through the vectors
+    (projector_distance), which is within a.factor_error + b.factor_error
+    of the distance of the matrices.
     """
     if a.amplitudes is not None and b.amplitudes is not None:
         return projector_distance(a.amplitudes, b.amplitudes)

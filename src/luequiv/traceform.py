@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DEGENERACY_TOL, apply_local, conjugate_local, dagger, eig_hermitian_2x2
+from .linalg import DEGENERACY_TOL, apply_local, conjugate_local, dagger, eig_hermitian_2x2_batch
 from .states import NQubitState, reduced_qubit
 
 
@@ -45,20 +45,21 @@ class TraceForm:
 def local_eigenframes(
     state: NQubitState, degeneracy_tol: float = DEGENERACY_TOL
 ) -> tuple[LocalEigenframe, ...]:
-    """Diagonalize every single-qubit marginal with the fixed phase convention."""
-    frames = []
-    for i in range(1, state.n + 1):
-        pair = eig_hermitian_2x2(reduced_qubit(state, i), degeneracy_tol=degeneracy_tol)
-        v = np.eye(2, dtype=complex) if pair.degenerate else pair.vectors
-        frames.append(
-            LocalEigenframe(
-                qubit=i,
-                eigenvalues=pair.eigenvalues,
-                v=v,
-                maximally_mixed=pair.degenerate,
-            )
+    """Diagonalize every single-qubit marginal with the fixed phase convention.
+
+    The n marginals are stacked and diagonalized in one closed-form call.
+    """
+    marginals = np.stack([reduced_qubit(state, i) for i in range(1, state.n + 1)])
+    values, vectors, degenerate = eig_hermitian_2x2_batch(marginals, degeneracy_tol=degeneracy_tol)
+    return tuple(
+        LocalEigenframe(
+            qubit=k + 1,
+            eigenvalues=values[k],
+            v=np.eye(2, dtype=complex) if degenerate[k] else vectors[k],
+            maximally_mixed=bool(degenerate[k]),
         )
-    return tuple(frames)
+        for k in range(state.n)
+    )
 
 
 def to_trace_form(
@@ -69,27 +70,23 @@ def to_trace_form(
     """Rotate the state into the tensor product of its marginal eigenframes.
 
     frames, when given, are the state's local_eigenframes, so a caller that
-    already has them does not reduce the marginals again.  A pure state's
-    amplitudes are rotated, and the result stays pure.  A dense result is a
-    unitary conjugate of a validated state, so it is only Hermitized, as
-    validate_state does; its spectrum and purity are the input's, both
-    being unitary invariants.
+    already has them does not reduce the marginals again.  A factor is
+    rotated, and the result keeps it with the input's factor_error.  A
+    dense result is a unitary conjugate of a validated state, so it is only
+    Hermitized, as validate_state does.  Either way its spectrum and purity
+    are the input's, both being unitary invariants.
     """
     if frames is None:
         frames = local_eigenframes(state, degeneracy_tol=degeneracy_tol)
     factors = [dagger(f.v) for f in frames]
-    pure = state.amplitudes is not None
-    if pure:
-        rotated = apply_local(state.amplitudes, factors)
-    else:
+    if state.factor is None:
         rotated = conjugate_local(state.matrix, factors)
         rotated = 0.5 * (rotated + dagger(rotated))
+        form = NQubitState(state.n, state.purity, state.spectrum, dense=rotated)
+    else:
+        rotated = apply_local(state.factor, factors)
+        form = NQubitState(
+            state.n, state.purity, state.spectrum, factor=rotated, factor_error=state.factor_error
+        )
     rotated.flags.writeable = False
-    form = NQubitState(
-        n=state.n,
-        purity=state.purity,
-        spectrum=state.spectrum,
-        amplitudes=rotated if pure else None,
-        dense=None if pure else rotated,
-    )
     return TraceForm(state=form, frames=frames)

@@ -86,6 +86,16 @@ def random_hermitian(n_dim: int, rng) -> np.ndarray:
     return (g + g.conj().T) / 2
 
 
+def dense_only(matrix) -> NQubitState:
+    """A validated density matrix kept without a factor, so every stage of a
+    decision runs on the matrix; the spectrum comes from eigvalsh of the
+    whole matrix, as validate_state takes it for a state it keeps dense."""
+    state = validate_state(matrix)
+    eigs = np.linalg.eigvalsh(state.matrix)
+    spectrum = np.where(eigs < 0.0, 0.0, eigs)[::-1].copy()
+    return NQubitState(n=state.n, purity=state.purity, spectrum=spectrum, dense=state.matrix)
+
+
 def dephased(state: NQubitState) -> NQubitState:
     """Diagonal part of the density matrix, same marginal spectra class."""
     return validate_state(np.diag(np.diag(state.matrix)))

@@ -23,17 +23,16 @@ from luequiv import (
     random_mixed_state,
     random_pure_state,
     to_trace_form,
-    validate_state,
 )
 from luequiv.cli import run_command
 from luequiv.engine import BY_TRACE_FORM, EQUIVALENT, INDETERMINATE, phase_match
 from luequiv.linalg import kron_all
-from tests.conftest import direct_residual, kron_chain
+from tests.conftest import dense_only, direct_residual, kron_chain
 from tests.test_acceptance import generic_state, phase_diag, sparse_support_state
 
 
 def dense_twin(psi: np.ndarray):
-    return validate_state(np.outer(psi, psi.conj()))
+    return dense_only(np.outer(psi, psi.conj()))
 
 
 # ------------------------------------------------- the gate's pure pairs
@@ -157,11 +156,12 @@ def test_near_equal_pair_keeps_relative_precision(seed):
 
 
 def counted(monkeypatch, module, name):
+    """Records the first argument of each call to module.name."""
     calls = []
     original = getattr(module, name)
 
     def wrapper(*args, **kwargs):
-        calls.append(name)
+        calls.append(args[0])
         return original(*args, **kwargs)
 
     monkeypatch.setattr(module, name, wrapper)
@@ -173,7 +173,7 @@ def test_each_marginal_is_reduced_once_per_decision(monkeypatch):
     state = random_pure_state(5, rng)
     rotated = apply_local_unitaries(state, [haar_local_unitary(rng) for _ in range(5)])
     reduced = counted(monkeypatch, luequiv.traceform, "reduced_qubit")
-    eigen = counted(monkeypatch, luequiv.traceform, "eig_hermitian_2x2")
+    eigen = counted(monkeypatch, luequiv.traceform, "eig_hermitian_2x2_batch")
     keys = set(vars(state))
     for _ in range(2):
         # no result is kept on the states: the second decision does it all again
@@ -181,7 +181,9 @@ def test_each_marginal_is_reduced_once_per_decision(monkeypatch):
         eigen.clear()
         verdict = decide_lu_equivalence(state, rotated)
         assert verdict.outcome == EQUIVALENT
-        assert len(reduced) == len(eigen) == 2 * 5
+        # one stacked diagonalization per state, of its 5 marginals
+        assert len(reduced) == 2 * 5
+        assert [len(marginals) for marginals in eigen] == [5, 5]
     assert set(vars(state)) == keys
     assert state.dense is None and rotated.dense is None
 
