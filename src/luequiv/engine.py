@@ -39,6 +39,7 @@ best factor of one qubit, the top eigenvector of a 4x4 quaternion matrix.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -228,46 +229,81 @@ def smith_form(s) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Smith normal form of an integer matrix: u @ s @ v = diag(d), zero-padded.
 
     u and v are unimodular integer matrices; d holds the positive invariant
-    factors, one per unit of rank, each dividing the next.
+    factors, one per unit of rank, each dividing the next.  The elimination
+    runs exactly on Python ints (_smith_lists).  Each result is an int64
+    array, or an object array of Python ints when an entry does not fit in
+    int64, which random 16 x 16 matrices over {-1, 0, 1} can reach.
     """
-    a = np.array(s, dtype=np.int64)
+    a = np.asarray(s, dtype=np.int64)
     rows, cols = a.shape
-    u = np.eye(rows, dtype=np.int64)
-    v = np.eye(cols, dtype=np.int64)
-    d = []
+    u, d, vt = _smith_lists(a.tolist(), rows, cols)
+    return _int_array(u, (rows, rows)), _int_array(d, (len(d),)), _int_array(vt, (cols, cols)).T
+
+
+def _int_array(x: list, shape: tuple) -> np.ndarray:
+    """The ints of x as an int64 array, or as an object array if one does not fit."""
+    try:
+        return np.array(x, dtype=np.int64).reshape(shape)
+    except OverflowError:
+        return np.array(x, dtype=object).reshape(shape)
+
+
+def _smith_lists(a: list, rows: int, cols: int):
+    """Exact Smith elimination of the rows x cols int lists a, in place.
+
+    Each round pivots on the smallest nonzero |entry| left (the first in
+    row-major order) and clears the pivot's column and row by floor
+    division; it repeats while remainders are left.  Once both are clear, a
+    row holding a non-multiple of the pivot is added to the pivot row, and
+    when none is left the pivot is made positive.  Returns the lists of u,
+    the invariant factors d and v transposed, so that column steps on v are
+    row steps on vt.
+    """
+    u = [[int(r == c) for c in range(rows)] for r in range(rows)]
+    vt = [[int(r == c) for c in range(cols)] for r in range(cols)]
+    d: list[int] = []
     for t in range(min(rows, cols)):
         while True:
-            sub = a[t:, t:]
-            nz = np.argwhere(sub)
-            if nz.size == 0:
-                return u, np.array(d, dtype=np.int64), v
-            i, j = nz[np.argmin(np.abs(sub[nz[:, 0], nz[:, 1]]))] + t
-            a[[t, i]] = a[[i, t]]
-            u[[t, i]] = u[[i, t]]
-            a[:, [t, j]] = a[:, [j, t]]
-            v[:, [t, j]] = v[:, [j, t]]
-            p = a[t, t]
-            q = a[t + 1 :, t] // p
-            a[t + 1 :] -= np.outer(q, a[t])
-            u[t + 1 :] -= np.outer(q, u[t])
-            q = a[t, t + 1 :] // p
-            a[:, t + 1 :] -= np.outer(a[:, t], q)
-            v[:, t + 1 :] -= np.outer(v[:, t], q)
-            if a[t + 1 :, t].any() or a[t, t + 1 :].any():
+            best, i, j = 0, t, t
+            for r in range(t, rows):
+                row = a[r]
+                for c in range(t, cols):
+                    x = abs(row[c])
+                    if x and (not best or x < best):
+                        best, i, j = x, r, c
+            if not best:
+                return u, d, vt
+            a[t], a[i] = a[i], a[t]
+            u[t], u[i] = u[i], u[t]
+            for row in a:
+                row[t], row[j] = row[j], row[t]
+            vt[t], vt[j] = vt[j], vt[t]
+            p = a[t][t]
+            for r in range(t + 1, rows):
+                q = a[r][t] // p
+                if q:
+                    a[r] = [x - q * y for x, y in zip(a[r], a[t])]
+                    u[r] = [x - q * y for x, y in zip(u[r], u[t])]
+            for c in range(t + 1, cols):
+                q = a[t][c] // p
+                if q:
+                    for row in a:
+                        row[c] -= q * row[t]
+                    vt[c] = [x - q * y for x, y in zip(vt[c], vt[t])]
+            if any(a[r][t] for r in range(t + 1, rows)) or any(a[t][t + 1 :]):
                 continue  # nonzero remainders are smaller than p: pivot on one
-            rest = np.argwhere(a[t + 1 :, t + 1 :] % p)
-            if rest.size == 0:
-                break
             # a row holding a non-multiple of p, added to the pivot row, leaves
             # a smaller remainder in the next pass
-            i = t + 1 + rest[0, 0]
-            a[t] += a[i]
-            u[t] += u[i]
-        if a[t, t] < 0:
-            a[t] = -a[t]
-            u[t] = -u[t]
-        d.append(a[t, t])
-    return u, np.array(d, dtype=np.int64), v
+            i = next((r for r in range(t + 1, rows) if any(x % p for x in a[r][t + 1 :])), None)
+            if i is None:
+                break
+            a[t] = [x + y for x, y in zip(a[t], a[i])]
+            u[t] = [x + y for x, y in zip(u[t], u[i])]
+        if a[t][t] < 0:
+            a[t] = [-x for x in a[t]]
+            u[t] = [-x for x in u[t]]
+        d.append(a[t][t])
+    return u, d, vt
 
 
 def _trace_out(m: np.ndarray, keep: np.ndarray) -> np.ndarray:
@@ -294,17 +330,30 @@ def _pinning_equations(flat: np.ndarray, weight: np.ndarray, m: int):
     indices, coefficient rows and weights of the chosen equations.  Greedy
     selection keeps every entry of flat in the span of chosen equations at
     least as heavy as itself, so no entry's phase rests on a lighter one.
+    Independence is exact: a candidate row is eliminated, fraction-free in
+    integers, against the pivots of the rows already chosen (each kept in
+    that reduced form, divided by its gcd), and it is chosen when anything
+    is left.
     """
     by_weight = np.argsort(-weight, kind="stable")
     order = flat[by_weight]
     rows = _entry_rows(order, m)
     _, first = np.unique(rows @ 3 ** np.arange(m), return_index=True)
     chosen: list[int] = []
-    for k in np.sort(first):
+    reduced: list[tuple[int, list[int]]] = []  # (pivot column, reduced row)
+    for k in np.sort(first).tolist():
         if len(chosen) == m:
             break
-        if np.linalg.matrix_rank(rows[chosen + [k]]) > len(chosen):
-            chosen.append(int(k))
+        x = rows[k].tolist()
+        for p, b in reduced:
+            if x[p]:
+                bp, xp = b[p], x[p]
+                x = [bp * xi - xp * bi for xi, bi in zip(x, b)]
+        pivot = next((c for c, xi in enumerate(x) if xi), None)
+        if pivot is not None:
+            g = math.gcd(*x)
+            reduced.append((pivot, [xi // g for xi in x]))
+            chosen.append(k)
     return order[chosen], rows[chosen], weight[by_weight][chosen]
 
 
@@ -470,6 +519,8 @@ def phase_match(t: TraceForm, t_prime: TraceForm, tol: float) -> PhaseMatchResul
         eq, rows, eq_weight = _pinning_equations(*entries.above(floor), m)
 
     u, d, v = smith_form(rows)
+    # the angles are floats, so the exact multipliers are rounded once here
+    u, v = u.astype(float), v.astype(float)
     a_eq, b_eq = entries.values(eq)
     target = u @ (0.5 * np.angle(b_eq * np.conj(a_eq)))
     a_top, b_top = entries.values(top)

@@ -8,6 +8,8 @@ b1 b2 ... bn.
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 from functools import reduce
 
@@ -26,6 +28,10 @@ MAX_KRON_DIM = 4096
 
 HERMITICITY_TOL = 1e-10
 DEGENERACY_TOL = 1e-10
+
+# below the smallest normal double a 2x2 matrix counts as zero
+_TINY = sys.float_info.min
+_SQRT_TINY = math.sqrt(_TINY)
 
 # gram's block edge: a 64 x 64 complex block is 64 KB
 _BLOCK = 64
@@ -81,6 +87,13 @@ def conjugate_local(m: np.ndarray, factors) -> np.ndarray:
     return dagger(apply_local(dagger(apply_local(m, factors)), factors))
 
 
+def _upper_blocks(d: int):
+    """Row and column slices of the square blocks on and above the diagonal of a d x d matrix."""
+    for i in range(0, d, _BLOCK):
+        for j in range(i, d, _BLOCK):
+            yield slice(i, i + _BLOCK), slice(j, j + _BLOCK)
+
+
 def gram(g: np.ndarray) -> np.ndarray:
     """G G^dag for a 2-d G, exactly Hermitian, built in square blocks.
 
@@ -92,16 +105,37 @@ def gram(g: np.ndarray) -> np.ndarray:
     d = g.shape[0]
     gh = dagger(g)
     out = np.empty((d, d), dtype=complex)
-    for i in range(0, d, _BLOCK):
-        rows = slice(i, i + _BLOCK)
-        p = g[rows] @ gh[:, rows]
-        out[rows, rows] = 0.5 * (p + dagger(p))
-        for j in range(i + _BLOCK, d, _BLOCK):
-            cols = slice(j, j + _BLOCK)
-            p = g[rows] @ gh[:, cols]
+    for rows, cols in _upper_blocks(d):
+        p = g[rows] @ gh[:, cols]
+        if rows == cols:
+            out[rows, rows] = 0.5 * (p + dagger(p))
+        else:
             out[rows, cols] = p
             out[cols, rows] = dagger(p)
     return out
+
+
+def hermitize(m: np.ndarray) -> tuple[np.ndarray, float]:
+    """0.5 (m + m^dag) and ||m - m^dag||_F of a square m, in square blocks.
+
+    Each block on or above the diagonal is taken with its mirror block while
+    both are in cache, as gram does, so neither m^dag nor m - m^dag is built
+    whole.  The blocks below the diagonal are the conjugate transposes of
+    those above, bitwise equal to the whole-matrix 0.5 (m + m^dag), which is
+    exactly Hermitian.
+    """
+    d = m.shape[0]
+    out = np.empty((d, d), dtype=complex)
+    skew = 0.0
+    for rows, cols in _upper_blocks(d):
+        upper, lower = m[rows, cols], dagger(m[cols, rows])
+        diff = upper - lower
+        # a block pair off the diagonal holds diff and -diff^dag in m - m^dag
+        skew += (1.0 if rows == cols else 2.0) * np.vdot(diff, diff).real
+        out[rows, cols] = 0.5 * (upper + lower)
+        if rows != cols:
+            out[cols, rows] = dagger(out[rows, cols])
+    return out, math.sqrt(skew)
 
 
 def projector_distance(u: np.ndarray, v: np.ndarray) -> float:
@@ -168,82 +202,98 @@ class EigenPair2:
     degenerate: bool
 
 
-def _fix_column_phase(v: np.ndarray) -> np.ndarray:
-    """Each column of a stack of 2x2 frames with its largest-modulus entry
-    made real non-negative; ties go to the lower row, a zero column stays."""
-    size = np.abs(v)
-    a = np.where(size[:, 0] >= size[:, 1], v[:, 0], v[:, 1])
-    mod = np.maximum(size[:, 0], size[:, 1])
-    phase = np.where(mod == 0.0, 1.0, np.conj(a) / np.where(mod == 0.0, 1.0, mod))
-    return v * phase[:, None, :]
+def _phase_fixed(x0: complex, x1: complex) -> tuple[complex, complex]:
+    """A frame column with its larger-modulus entry made real non-negative.
 
-
-def eig_hermitian_2x2_batch(
-    h: np.ndarray,
-    hermiticity_tol: float = HERMITICITY_TOL,
-    degeneracy_tol: float = DEGENERACY_TOL,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Closed-form eigendecomposition of a stack of Hermitian 2x2 matrices.
-
-    h has shape (k, 2, 2).  Returns the descending eigenvalues (k, 2), the
-    eigenvector frames (k, 2, 2), eigenvectors as columns, and the
-    degeneracy flags (k,), set where the eigenvalue gap is below
-    degeneracy_tol.  No iterative solver: eigenvalues come from the
-    characteristic polynomial and the second eigenvector is the exact
-    orthogonal complement of the first, so every frame is unitary to machine
-    precision even near degeneracy.  Raises ValueError when any matrix is
-    not Hermitian within hermiticity_tol.
+    Ties go to the first row; a zero column stays.
     """
-    h = np.asarray(h, dtype=complex)
-    if h.ndim != 3 or h.shape[1:] != (2, 2):
-        raise ValueError(f"expected a stack of 2x2 matrices, got {h.shape}")
-    skew = h - np.conj(h.transpose(0, 2, 1))
-    if np.sqrt(np.einsum("kij,kij->k", skew, skew.conj()).real.max()) > hermiticity_tol:
+    s0, s1 = abs(x0), abs(x1)
+    top, mod = (x0, s0) if s0 >= s1 else (x1, s1)
+    if mod == 0.0:
+        return x0, x1
+    phase = top.conjugate() / mod
+    return x0 * phase, x1 * phase
+
+
+def _eig_2x2(h, hermiticity_tol: float, degeneracy_tol: float):
+    """Eigenvalues, frame and degeneracy flag of one 2x2 matrix of Python complexes.
+
+    See eig_hermitian_2x2_batch.
+    """
+    (h00, h01), (h10, h11) = h
+    # ||h - h^dag||_F: the diagonal contributes 2|Im|, each off-diagonal |h01 - conj(h10)|
+    skew = h01 - h10.conjugate()
+    herm = 4.0 * (h00.imag**2 + h11.imag**2) + 2.0 * (skew.real**2 + skew.imag**2)
+    if math.sqrt(herm) > hermiticity_tol:
         raise ValueError("matrix is not Hermitian within tolerance")
 
-    a = h[:, 0, 0].real
-    c = h[:, 1, 1].real
-    b = 0.5 * (h[:, 0, 1] + np.conj(h[:, 1, 0]))  # symmetrized off-diagonal
-
+    a, c = h00.real, h11.real
+    b = 0.5 * (h01 + h10.conjugate())  # symmetrized off-diagonal
     half_tr = 0.5 * (a + c)
-    root = 0.5 * np.sqrt((a - c) ** 2 + 4.0 * np.abs(b) ** 2)
-    eigenvalues = np.empty((h.shape[0], 2))
-    eigenvalues[:, 0] = half_tr + root
-    eigenvalues[:, 1] = half_tr - root
-    degenerate = eigenvalues[:, 0] - eigenvalues[:, 1] < degeneracy_tol
+    # sqrt((a - c)^2 + 4|b|^2) with no square formed, so denormal entries keep their digits
+    root = 0.5 * math.hypot(a - c, 2.0 * b.real, 2.0 * b.imag)
+    values = (half_tr + root, half_tr - root)
+    degenerate = values[0] - values[1] < degeneracy_tol
 
     # eigenvectors are scale invariant; renormalizing the entries keeps
     # |b|^2 away from underflow for denormal-sized inputs.  Below tiny the
     # matrix is zero to double precision and any orthonormal frame works;
     # where |b|^2 underflows, the off-diagonal is below double resolution
     # relative to the diagonal, so the aligned frame is exact
-    tiny = np.finfo(float).tiny
-    scale = np.maximum(np.maximum(np.abs(a), np.abs(c)), np.abs(b))
-    zero = scale < tiny
-    scale = np.where(zero, 1.0, scale)
-    a, c, b, lo = a / scale, c / scale, b / scale, eigenvalues[:, 0] / scale
-    aligned = (zero | (np.abs(b) < np.sqrt(tiny)))[:, None, None]
+    scale = max(abs(a), abs(c), abs(b))
+    zero = scale < _TINY
+    if zero:
+        scale = 1.0
+    a, c, b, lo = a / scale, c / scale, b / scale, values[0] / scale
+    if zero or abs(b) < _SQRT_TINY:
+        frame = ((1.0, 0.0), (0.0, 1.0)) if a >= c else ((0.0, 1.0), (1.0, 0.0))
+        return values, frame, degenerate
 
     # two algebraically equivalent forms of the first eigenvector, [b, lo - a]
     # and [lo - c, conj(b)]; keep the better conditioned one, scaled by its
     # max-abs entry first because |b| may be denormal
-    cand = np.empty((h.shape[0], 2, 2), dtype=complex)
-    cand[:, 0, 0] = b
-    cand[:, 0, 1] = lo - a
-    cand[:, 1, 0] = lo - c
-    cand[:, 1, 1] = np.conj(b)
-    size = np.abs(cand).max(axis=2, keepdims=True)
-    v0 = np.where(size[:, :1] >= size[:, 1:], cand[:, :1], cand[:, 1:])[:, 0]
-    v0 = v0 / np.where(aligned[:, 0], 1.0, np.maximum(size[:, 0], size[:, 1]))
-    norm = np.sqrt(np.sum(v0.real**2 + v0.imag**2, axis=1, keepdims=True))
-    v0 = v0 / np.where(aligned[:, 0], 1.0, norm)
-    vectors = np.empty((h.shape[0], 2, 2), dtype=complex)
-    vectors[:, :, 0] = v0
-    vectors[:, 0, 1] = -np.conj(v0[:, 1])
-    vectors[:, 1, 1] = np.conj(v0[:, 0])
-    swap = np.array([[0.0, 1.0], [1.0, 0.0]])
-    flat = np.where((a >= c)[:, None, None], np.eye(2), swap)
-    return eigenvalues, _fix_column_phase(np.where(aligned, flat, vectors)), degenerate
+    size0 = max(abs(b), abs(lo - a))
+    size1 = max(abs(lo - c), abs(b))
+    if size0 >= size1:
+        x0, x1 = b / size0, (lo - a) / size0
+    else:
+        x0, x1 = (lo - c) / size1, b.conjugate() / size1
+    norm = math.sqrt(abs(x0) ** 2 + abs(x1) ** 2)
+    x0, x1 = x0 / norm, x1 / norm
+    # the second eigenvector is the exact orthogonal complement of the first
+    (v00, v10), (v01, v11) = _phase_fixed(x0, x1), _phase_fixed(-x1.conjugate(), x0.conjugate())
+    return values, ((v00, v01), (v10, v11)), degenerate
+
+
+def eig_hermitian_2x2_batch(
+    h,
+    hermiticity_tol: float = HERMITICITY_TOL,
+    degeneracy_tol: float = DEGENERACY_TOL,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Closed-form eigendecomposition of a stack of Hermitian 2x2 matrices.
+
+    h is a (k, 2, 2) array or a sequence of k 2x2 matrices.  Returns the
+    descending eigenvalues (k, 2), the eigenvector frames (k, 2, 2),
+    eigenvectors as columns, and the degeneracy flags (k,), set where the
+    eigenvalue gap is below degeneracy_tol.  No iterative solver:
+    eigenvalues come from the characteristic polynomial and the second
+    eigenvector is the exact orthogonal complement of the first, so every
+    frame is unitary to machine precision even near degeneracy.  The
+    largest-modulus entry of each column is real and non-negative.  Each
+    matrix is solved on Python scalars, which at these sizes costs less
+    than the calls of a vectorized form.  Raises ValueError when any matrix
+    is not Hermitian within hermiticity_tol.
+    """
+    h = np.asarray(h, dtype=complex)
+    if h.ndim != 3 or h.shape[1:] != (2, 2):
+        raise ValueError(f"expected a stack of 2x2 matrices, got {h.shape}")
+    solved = [_eig_2x2(m, hermiticity_tol, degeneracy_tol) for m in h.tolist()]
+    k = len(solved)
+    return (
+        np.array([values for values, _, _ in solved], dtype=float).reshape(k, 2),
+        np.array([frame for _, frame, _ in solved], dtype=complex).reshape(k, 2, 2),
+        np.array([degenerate for _, _, degenerate in solved], dtype=bool),
+    )
 
 
 def eig_hermitian_2x2(

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import dagger, frobenius_distance, gram, partial_trace, projector_distance
+from .linalg import dagger, frobenius_distance, gram, hermitize, partial_trace, projector_distance
 
 # dense matrices stop at 10 qubits (16 MB); amplitude vectors at 16 (1 MB)
 MAX_QUBITS = 10
@@ -134,11 +134,10 @@ def validate_state(matrix: np.ndarray, max_qubits: int = MAX_QUBITS) -> NQubitSt
     if not np.all(np.isfinite(m)):
         raise StateValidationError("finite", float("nan"), "matrix has non-finite entries")
 
-    herm = frobenius_distance(m, dagger(m))
+    m, herm = hermitize(m)
     if herm > HERMITICITY_TOL:
         raise StateValidationError("hermiticity", herm, f"||m - m^dag|| = {herm:.3e}")
 
-    m = 0.5 * (m + dagger(m))
     tr = float(np.trace(m).real)
     if abs(tr - 1.0) > TRACE_TOL:
         raise StateValidationError("trace", abs(tr - 1.0), f"trace = {tr!r}, expected 1")

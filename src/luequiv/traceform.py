@@ -17,7 +17,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DEGENERACY_TOL, apply_local, conjugate_local, dagger, eig_hermitian_2x2_batch
+from .linalg import (
+    DEGENERACY_TOL,
+    apply_local,
+    conjugate_local,
+    dagger,
+    eig_hermitian_2x2_batch,
+    hermitize,
+)
 from .states import NQubitState, reduced_qubit
 
 
@@ -47,9 +54,9 @@ def local_eigenframes(
 ) -> tuple[LocalEigenframe, ...]:
     """Diagonalize every single-qubit marginal with the fixed phase convention.
 
-    The n marginals are stacked and diagonalized in one closed-form call.
+    The n marginals go to one closed-form call.
     """
-    marginals = np.stack([reduced_qubit(state, i) for i in range(1, state.n + 1)])
+    marginals = [reduced_qubit(state, i) for i in range(1, state.n + 1)]
     values, vectors, degenerate = eig_hermitian_2x2_batch(marginals, degeneracy_tol=degeneracy_tol)
     return tuple(
         LocalEigenframe(
@@ -80,8 +87,7 @@ def to_trace_form(
         frames = local_eigenframes(state, degeneracy_tol=degeneracy_tol)
     factors = [dagger(f.v) for f in frames]
     if state.factor is None:
-        rotated = conjugate_local(state.matrix, factors)
-        rotated = 0.5 * (rotated + dagger(rotated))
+        rotated, _ = hermitize(conjugate_local(state.matrix, factors))
         form = NQubitState(state.n, state.purity, state.spectrum, dense=rotated)
     else:
         rotated = apply_local(state.factor, factors)

@@ -35,6 +35,7 @@ from luequiv.engine import (
     NO_SOLUTION,
     NOT_EQUIVALENT,
     _best_su2_factor,
+    _pinning_equations,
     assemble_witness,
     smith_form,
 )
@@ -169,6 +170,88 @@ def test_smith_form_diagonalizes(s, d):
     want = np.zeros_like(s)
     want[range(len(d)), range(len(d))] = d
     assert np.array_equal(u @ s @ v, want)
+
+
+def _exact_det(m) -> int:
+    """Determinant of a square integer matrix, by Bareiss elimination on Python ints."""
+    a = [[int(x) for x in row] for row in m]
+    sign, prev = 1, 1
+    for k in range(len(a) - 1):
+        if a[k][k] == 0:
+            swap = next((i for i in range(k + 1, len(a)) if a[i][k]), None)
+            if swap is None:
+                return 0
+            a[k], a[swap] = a[swap], a[k]
+            sign = -sign
+        for i in range(k + 1, len(a)):
+            for j in range(k + 1, len(a)):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+        prev = a[k][k]
+    return sign * a[-1][-1] if a else 1
+
+
+def _smith_cases():
+    """Empty, all-zero, sign-pattern, wider-range, low-rank and scaled integer matrices."""
+    rng = np.random.Generator(np.random.Philox(314))
+    cases = [np.zeros((0, 4), dtype=np.int64), np.zeros((3, 0), dtype=np.int64)]
+    cases += [np.zeros(shape, dtype=np.int64) for shape in ((1, 1), (5, 7), (16, 16))]
+    for _ in range(40):
+        rows, cols = (int(x) for x in rng.integers(1, 17, size=2))
+        cases.append(rng.integers(-1, 2, size=(rows, cols)))
+        cases.append(rng.integers(-5, 6, size=(rows, cols)))
+        inner = int(rng.integers(1, min(rows, cols) + 1))
+        low = rng.integers(-2, 3, size=(rows, inner)) @ rng.integers(-2, 3, size=(inner, cols))
+        cases.append(low)
+        cases.append(6 * rng.integers(-1, 2, size=(rows, cols)))
+    return cases
+
+
+def test_smith_form_properties_on_random_integer_matrices():
+    for s in _smith_cases():
+        u, d, v = smith_form(s)
+        rows, cols = s.shape
+        assert u.shape == (rows, rows) and v.shape == (cols, cols)
+        # exact products, in Python ints: the multipliers may outgrow int64
+        exact = u.astype(object) @ s.astype(object) @ v.astype(object)
+        want = np.zeros((rows, cols), dtype=object)
+        want[range(len(d)), range(len(d))] = d
+        assert np.array_equal(exact, want)
+        assert len(d) == (np.linalg.matrix_rank(s.astype(float)) if s.size else 0)
+        assert all(x > 0 for x in d)
+        assert all(hi % lo == 0 for lo, hi in zip(d, d[1:]))
+        assert abs(_exact_det(u)) == 1 and abs(_exact_det(v)) == 1
+
+
+def _greedy_by_matrix_rank(flat, weight, m):
+    """Heaviest first (stable), keep a row when np.linalg.matrix_rank grows, stop at m."""
+    order = flat[np.argsort(-weight, kind="stable")]
+    r, c = np.divmod(order, 2**m)
+    shifts = np.arange(m - 1, -1, -1)
+    rows = ((c[:, None] >> shifts) & 1) - ((r[:, None] >> shifts) & 1)
+    chosen = []
+    for k in range(len(order)):
+        if len(chosen) == m:
+            break
+        if np.linalg.matrix_rank(rows[chosen + [k]]) > len(chosen):
+            chosen.append(k)
+    return order[chosen], rows[chosen]
+
+
+def test_pinning_equations_match_a_matrix_rank_greedy():
+    rng = np.random.Generator(np.random.Philox(2025))
+    for trial in range(400):
+        m = int(rng.integers(1, 11))
+        size = min(int(rng.integers(0, 60)), 4**m)
+        flat = rng.choice(4**m, size=size, replace=False)
+        weight = rng.random(size)
+        if trial % 3 == 0:
+            weight = np.round(weight, 1)  # ties keep the stable order
+        eq, rows, eq_weight = _pinning_equations(flat, weight, m)
+        want_eq, want_rows = _greedy_by_matrix_rank(flat, weight, m)
+        assert np.array_equal(eq, want_eq)
+        assert np.array_equal(rows, want_rows) and rows.shape == (len(want_eq), m)
+        weight_of = dict(zip(flat.tolist(), weight.tolist()))
+        assert eq_weight.tolist() == [weight_of[x] for x in eq.tolist()]
 
 
 def _twisted_trace_forms(amp, omegas):

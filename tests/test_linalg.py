@@ -11,11 +11,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from luequiv.linalg import (
+    DEGENERACY_TOL,
     apply_local,
     conjugate_local,
     dagger,
     eig_hermitian_2x2,
+    eig_hermitian_2x2_batch,
     frobenius_distance,
+    hermitize,
     kron_all,
     partial_trace,
     projector_distance,
@@ -232,3 +235,94 @@ def test_projector_distance_matches_dense_frobenius():
     assert projector_distance(u, np.exp(0.4j) * u) < 1e-15
     e0, e1 = np.eye(2, dtype=complex)
     assert projector_distance(e0, e1) == pytest.approx(np.sqrt(2.0), rel=1e-15)
+
+
+# ------------------------------------------------- the scalar 2x2 eigen kernel
+
+
+def eigen_corpus() -> np.ndarray:
+    """Random, a = c, diagonal, denormal, near-degenerate and zero 2x2 Hermitian matrices.
+
+    Groups of five: random, the same with c set to a, diagonal, and both of
+    the first two scaled to denormals (indices 0..99).  Then ten matrices
+    each with an eigenvalue gap of 0.5, 0.9, 0.99, 1.01, 1.1 and 2 times
+    DEGENERACY_TOL (100..159), and the zero matrix (160).
+    """
+    rng = np.random.Generator(np.random.Philox(2718))
+    mats = []
+    for _ in range(20):
+        g = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        h = (g + g.conj().T) / 2
+        tie = h.copy()
+        tie[1, 1] = tie[0, 0]
+        mats += [h, tie, np.diag(rng.normal(size=2)).astype(complex), h * 1e-310, tie * 1e-310]
+    for ratio in (0.5, 0.9, 0.99, 1.01, 1.1, 2.0):
+        for _ in range(10):
+            q, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+            center = rng.uniform(0.05, 0.95)
+            gap = ratio * DEGENERACY_TOL
+            h = q @ np.diag([center + gap / 2, center - gap / 2]) @ q.conj().T
+            mats.append(0.5 * (h + h.conj().T))
+    mats.append(np.zeros((2, 2), dtype=complex))
+    return np.array(mats)
+
+
+# The flags the earlier vectorized closed form gave on eigen_corpus: every
+# denormal matrix, every gap below DEGENERACY_TOL and the zero matrix.
+PINNED_DEGENERATE = [i for i in range(100) if i % 5 in (3, 4)] + list(range(100, 130)) + [160]
+
+
+def test_eig_batch_degeneracy_flags_are_pinned():
+    _, _, degenerate = eig_hermitian_2x2_batch(eigen_corpus())
+    assert np.flatnonzero(degenerate).tolist() == PINNED_DEGENERATE
+
+
+def test_eig_batch_eigenvalues_match_eigh():
+    # denormal results sit on a grid of spacing `sub`, so a unit or two of it
+    # is allowed on top of the relative bound
+    sub = np.nextafter(0.0, 1.0)
+    corpus = eigen_corpus()
+    values, _, _ = eig_hermitian_2x2_batch(corpus)
+    for h, got in zip(corpus, values):
+        want = np.linalg.eigh(h)[0][::-1]
+        assert np.all(np.abs(got - want) <= 1e-15 * np.abs(h).max() + 2 * sub)
+
+
+def test_eig_batch_frames_are_unitary_and_phase_fixed():
+    _, frames, _ = eig_hermitian_2x2_batch(eigen_corpus())
+    for v in frames:
+        assert np.abs(v.conj().T @ v - I2).max() <= 1e-15
+        for col in v.T:
+            size = np.abs(col)
+            # the entry made real is one of largest modulus; on a = c both
+            # entries have modulus 1/sqrt(2), and rounding picks one
+            top = col[size >= size.max() - 1e-15]
+            assert np.any((np.abs(top.imag) <= 1e-15) & (top.real >= 0.0))
+
+
+def test_eig_batch_matches_single_matrix_calls():
+    corpus = eigen_corpus()
+    values, frames, degenerate = eig_hermitian_2x2_batch(list(corpus))
+    assert values.shape == (len(corpus), 2) and frames.shape == (len(corpus), 2, 2)
+    for h, lam, v, flag in zip(corpus, values, frames, degenerate):
+        pair = eig_hermitian_2x2(h)
+        assert np.array_equal(pair.eigenvalues, lam) and np.array_equal(pair.vectors, v)
+        assert pair.degenerate == flag
+    empty = eig_hermitian_2x2_batch(np.zeros((0, 2, 2)))
+    assert [x.shape for x in empty] == [(0, 2), (0, 2, 2), (0,)]
+    with pytest.raises(ValueError):
+        eig_hermitian_2x2_batch(np.zeros((3, 2)))
+    skewed = corpus[:3].copy()
+    skewed[1, 0, 1] += 1e-9
+    with pytest.raises(ValueError):
+        eig_hermitian_2x2_batch(skewed)
+
+
+@pytest.mark.parametrize("d", [2, 64, 130, 256])
+def test_hermitize_is_the_whole_matrix_form_in_blocks(d):
+    rng = np.random.default_rng(d)
+    m = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    part, skew = hermitize(m)
+    assert np.array_equal(part, 0.5 * (m + dagger(m)))
+    assert np.array_equal(part, dagger(part))
+    assert skew == pytest.approx(np.linalg.norm(m - dagger(m)), rel=1e-13)
