@@ -7,7 +7,7 @@ loaded under distinct module names (A and B), which works because the
 package imports itself only relatively.  The instances, their truth and the
 independent verdict check are those of this checkout's lubench/
 (workloads.py, instances.py, truth.py); nothing there is changed.  Each
-package validates its own states, then every instance is decided --repeats
+package validates its own states, then every instance is decided REPEATS
 times by each package in turn, A then B on even repeats and B then A on odd
 ones, so that drift hits both alike.
 
@@ -47,6 +47,8 @@ from workloads import WORKLOADS  # noqa: E402
 
 # witnesses that differ by more than this are listed by instance
 WITNESS_REPORT = 1e-12
+# decisions per instance and side; the time ratio is of their medians
+REPEATS = 5
 
 
 def load_package(name: str, tree) -> object:
@@ -91,13 +93,13 @@ def witness_difference(va, vb) -> float | None:
     )
 
 
-def compare(lu_a, lu_b, instances, repeats: int) -> dict:
+def compare(lu_a, lu_b, instances) -> dict:
     """Decide every instance with both packages; the per-instance records."""
     sides = (lu_a, lu_b)
     states = [[validated(lu, inst) for inst in instances] for lu in sides]
     times = [[[] for _ in instances] for _ in sides]
     verdicts = [[None] * len(instances) for _ in sides]
-    for r in range(repeats):
+    for r in range(REPEATS):
         for i, inst in enumerate(instances):
             for s in (0, 1) if r % 2 == 0 else (1, 0):
                 verdict, seconds = decide(sides[s], states[s][i], inst)
@@ -145,13 +147,12 @@ def main(argv=None) -> int:
     parser.add_argument("tree_b", help="source tree B, usually the change")
     parser.add_argument("--workload", required=True, choices=sorted(WORKLOADS))
     parser.add_argument("--seed", type=int, required=True)
-    parser.add_argument("--repeats", type=int, default=5)
     args = parser.parse_args(argv)
 
     lu_a = load_package("luequiv_a", args.tree_a)
     lu_b = load_package("luequiv_b", args.tree_b)
-    records = compare(lu_a, lu_b, WORKLOADS[args.workload](args.seed), max(args.repeats, 1))
-    summary = {"workload": args.workload, "seed": args.seed, "repeats": args.repeats}
+    records = compare(lu_a, lu_b, WORKLOADS[args.workload](args.seed))
+    summary = {"workload": args.workload, "seed": args.seed}
     summary.update(summarize(records))
 
     for i, r in enumerate(records):
@@ -160,7 +161,7 @@ def main(argv=None) -> int:
         elif r["witness_diff"] is not None and r["witness_diff"] > WITNESS_REPORT:
             print(f"{i} {r['label']}: witnesses differ by {r['witness_diff']:.3e}")
     s = summary
-    print(f"{args.workload} seed {args.seed}: {s['instances']} instances, {args.repeats} repeats")
+    print(f"{args.workload} seed {args.seed}: {s['instances']} instances, {REPEATS} repeats")
     print(f"same outcome and reason: {s['same_verdict']}/{s['instances']}")
     print(f"truth.verdict_ok: A {s['check_a']}, B {s['check_b']}, lost by B {s['check_lost']}")
     print(

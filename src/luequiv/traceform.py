@@ -17,14 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (
-    DEGENERACY_TOL,
-    apply_local,
-    conjugate_local,
-    dagger,
-    eig_hermitian_2x2_batch,
-    hermitize,
-)
+from .linalg import DEGENERACY_TOL, apply_local, conjugate_local, dagger, eig_hermitian_2x2_batch
 from .states import NQubitState, reduced_qubit
 
 
@@ -87,7 +80,8 @@ def to_trace_form(
         frames = local_eigenframes(state, degeneracy_tol=degeneracy_tol)
     factors = [dagger(f.v) for f in frames]
     if state.factor is None:
-        rotated, _ = hermitize(conjugate_local(state.matrix, factors))
+        rotated = conjugate_local(state.matrix, factors)
+        rotated = 0.5 * (rotated + dagger(rotated))
         form = NQubitState(state.n, state.purity, state.spectrum, dense=rotated)
     else:
         rotated = apply_local(state.factor, factors)

@@ -10,7 +10,7 @@ ROOT = Path(__file__).resolve().parents[1]
 
 def test_ab_compare_checkout_against_itself():
     argv = [sys.executable, str(ROOT / "scripts" / "ab_compare.py"), str(ROOT), str(ROOT)]
-    argv += ["--workload", "cli_check", "--seed", "1", "--repeats", "2"]
+    argv += ["--workload", "cli_check", "--seed", "1"]
     done = subprocess.run(argv, capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
     report = json.loads(done.stdout.splitlines()[-1])
