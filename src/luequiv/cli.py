@@ -57,11 +57,8 @@ def _build_parser() -> _Parser:
     check.add_argument("state_a")
     check.add_argument("state_b")
     check.add_argument("--tol", type=float, default=None, help="decision tolerance (Frobenius)")
-    check.add_argument("--spectrum-tol", type=float, default=None, help="preflight spectrum tolerance")
     check.add_argument("--degeneracy-tol", type=float, default=None, help="maximally-mixed eigenvalue gap")
     check.add_argument("--fallback", action="store_true", help="enable the SU(2) search on degenerate marginals")
-    check.add_argument("--restarts", type=int, default=None, help="fallback restarts")
-    check.add_argument("--seed", type=int, default=None, help="fallback restart seed")
     check.add_argument("--json", action="store_true", help="print the full JSON report")
 
     tf = sub.add_parser("trace-form", help="print the trace form and marginal eigenframes")
@@ -103,11 +100,8 @@ def _cmd_check(args) -> int:
     state_b, digest_b = _load(args.state_b)
     config = config_from_flags(
         tol=args.tol,
-        spectrum_tol=args.spectrum_tol,
         degeneracy_tol=args.degeneracy_tol,
         fallback=True if args.fallback else None,
-        fallback_restarts=args.restarts,
-        seed=args.seed,
     )
     verdict = decide_lu_equivalence(state_a, state_b, config)
     inputs = {

@@ -2,7 +2,8 @@
 
 The pipeline follows the trace-decomposition protocol:
 
-1. preflight: global and single-qubit marginal spectra must agree.
+1. preflight: global spectra must agree within tol and single-qubit
+   marginal spectra within 2^((n-1)/2) tol.
 2. both states are rotated into their marginal eigenframes (trace forms).
 3. the residual eigenframe freedom is a diagonal phase diag(e^{iw}, e^{-iw})
    per qubit, which multiplies each trace-form entry by a phase linear in
@@ -71,6 +72,7 @@ NO_SOLUTION = "no_solution"
 # rate; the deep budget only gets spent on runs that are actually
 # descending, since plateaus break out after a handful of sweeps
 FALLBACK_SWEEPS = 2500
+FALLBACK_SEED = 11
 
 
 class EngineInconsistencyError(RuntimeError):
@@ -81,26 +83,24 @@ class EngineInconsistencyError(RuntimeError):
 class EngineConfig:
     """Tolerances of the decision procedure and the SU(2) fallback budget.
 
-    tol is the Frobenius decision tolerance applied to witness residuals and
-    to the trace-form comparison; spectrum_tol guards the preflight spectra;
-    degeneracy_tol is the marginal eigenvalue gap below which a qubit counts
-    as maximally mixed.  The phase solve is exact and has no budget.  The
-    SU(2) fallback is off by default; it runs fallback_restarts seeded
-    restarts of at most FALLBACK_SWEEPS block coordinate sweeps each, and
-    seed draws the starting factors of every restart after the first.  The
-    three tolerances must be finite and positive and fallback_restarts at
-    least 1; anything else raises ValueError.
+    tol is the Frobenius decision tolerance applied to witness residuals,
+    to the trace-form comparison and, scaled as preflight_invariants says,
+    to the preflight spectra; degeneracy_tol is the marginal eigenvalue gap
+    below which a qubit counts as maximally mixed.  The phase solve is
+    exact and has no budget.  The SU(2) fallback is off by default; it runs
+    fallback_restarts restarts of at most FALLBACK_SWEEPS block coordinate
+    sweeps each, and FALLBACK_SEED draws the starting factors of every
+    restart after the first.  Both tolerances must be finite and positive
+    and fallback_restarts at least 1; anything else raises ValueError.
     """
 
     tol: float = 1e-9
-    spectrum_tol: float = 1e-9
     degeneracy_tol: float = 1e-10
     fallback: bool = False
     fallback_restarts: int = 16
-    seed: int = 11
 
     def __post_init__(self):
-        for name in ("tol", "spectrum_tol", "degeneracy_tol"):
+        for name in ("tol", "degeneracy_tol"):
             value = getattr(self, name)
             if not (np.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be finite and positive, got {value}")
@@ -175,14 +175,17 @@ def preflight_invariants(
 ) -> PreflightReport:
     """Compare the cheap unitary invariants: global and marginal spectra.
 
-    Reports the first failing invariant (global spectrum first, then qubits
-    in index order) together with its gap.  frames, when given, are the
-    local_eigenframes of a and of b, whose eigenvalues are the marginal
-    spectra.  The gaps are lower bounds for the inputs: spectra read from
-    factors are those of G G^dag, so with eps = a.factor_error +
-    b.factor_error the global gap drops by eps (Weyl) and each marginal gap
-    by 2^((n-1)/2) eps, the most a partial trace over n - 1 qubits moves an
-    eigenvalue per unit of Frobenius norm.  Gaps are floored at 0.
+    A witness with residual at most tol moves each global eigenvalue by at
+    most tol (Mirsky) and each marginal eigenvalue by at most 2^((n-1)/2)
+    tol, the most a partial trace over n - 1 qubits grows a Frobenius norm.
+    A gap above its bound fails, so a rejection proves that no witness is
+    within tol.  Reports the first failing invariant (global spectrum
+    first, then qubits in index order) together with its gap.  frames, when
+    given, are the local_eigenframes of a and of b, whose eigenvalues are
+    the marginal spectra.  The gaps are lower bounds for the inputs: spectra
+    read from factors are those of G G^dag, so with eps = a.factor_error +
+    b.factor_error the global gap drops by eps and each marginal gap by
+    2^((n-1)/2) eps, by the same bounds.  Gaps are floored at 0.
     """
     if a.n != b.n:
         raise ValueError(f"qubit counts differ: {a.n} vs {b.n}")
@@ -190,9 +193,9 @@ def preflight_invariants(
         frames = (local_eigenframes(a), local_eigenframes(b))
     eps = a.factor_error + b.factor_error
     global_gap = max(float(np.max(np.abs(a.spectrum - b.spectrum))) - eps, 0.0)
-    marginal_eps = eps * 2.0 ** ((a.n - 1) / 2.0)
+    scale = 2.0 ** ((a.n - 1) / 2.0)
     marginal_gaps = [
-        max(float(np.max(np.abs(fa.eigenvalues - fb.eigenvalues))) - marginal_eps, 0.0)
+        max(float(np.max(np.abs(fa.eigenvalues - fb.eigenvalues))) - scale * eps, 0.0)
         for fa, fb in zip(*frames)
     ]
     failed = None
@@ -202,7 +205,7 @@ def preflight_invariants(
         failed, gap = "global_spectrum", global_gap
     else:
         for i, g in enumerate(marginal_gaps, start=1):
-            if g > tol:
+            if g > scale * tol:
                 failed, qubit, gap = "marginal_spectrum", i, g
                 break
     return PreflightReport(
@@ -437,15 +440,8 @@ class _PureEntries(_Entries):
         return self.anchor * 2**self.m + c
 
     def bound(self) -> float:
-        """||xx^T - yy^T||_F for x = |psi|, y = |phi|, as (1/2)||us^T + su^T||_F.
-
-        With u = x - y and s = x + y that is sqrt((|u|^2 |s|^2 + (u.s)^2) / 2),
-        which keeps full relative precision where the fourth powers cancel.
-        """
-        u = self.x - self.y
-        s = self.x + self.y
-        uu, ss, us = np.dot(u, u), np.dot(s, s), np.dot(u, s)
-        return float(np.sqrt(0.5 * (uu * ss + us * us)))
+        """||xx^T - yy^T||_F for x = |psi|, y = |phi| (real, so no aligning phase)."""
+        return projector_distance(self.x, self.y)
 
     def values(self, flat: np.ndarray):
         c = flat - self.anchor * 2**self.m
@@ -675,8 +671,9 @@ def su2_fallback(
     is minimized by multi-start block coordinate descent: one step replaces
     U_k by the exact minimizer of ||rho_b - U_k R U_k^dag||_F, where R is a
     with the fixed factors and the other mixed ones applied (_best_su2_factor).
-    Restart 0 starts every U_k at the identity, the others at seeded random
-    unit quaternions.  Each sweep of steps ends with one direct residual.
+    Restart 0 starts every U_k at the identity, the others at random unit
+    quaternions drawn from FALLBACK_SEED.  Each sweep of steps ends with one
+    direct residual.
     Returns the witness, None when no restart reaches tolerance, and the
     number of block steps plus residual evaluations.
     """
@@ -688,7 +685,7 @@ def su2_fallback(
     a_fixed = conjugate_local(a.matrix, fixed)
     positions = [k for k, u in enumerate(fixed) if u is None]
     evaluations = 0
-    rng = make_rng(config.seed)
+    rng = make_rng(FALLBACK_SEED)
     tol_sq = config.tol**2
 
     for start in range(config.fallback_restarts):
@@ -730,13 +727,14 @@ def decide_lu_equivalence(
     """Decide whether b = (U_1 x ... x U_n) a (U_1 x ... x U_n)^dag.
 
     Equivalent verdicts carry witness unitaries whose residual was recomputed
-    from the inputs.  NotEquivalent names the separating invariant; the
-    trace-form rejection is only issued when no marginal is maximally mixed
-    and no branch of the exact phase solve matches.  Degenerate marginals
-    yield Indeterminate unless config.fallback is set.  Then the phase solve
-    on the non-mixed qubits runs first, as a necessary condition, and only a
-    match there starts the SU(2) search; a failed solve is Indeterminate
-    without a search.
+    from the inputs.  NotEquivalent names the separating invariant; a
+    preflight rejection implies that no witness is within config.tol
+    (preflight_invariants), and the trace-form rejection is only issued
+    when no marginal is maximally mixed and no branch of the exact phase
+    solve matches.  Degenerate marginals yield Indeterminate unless
+    config.fallback is set.  Then the phase solve on the non-mixed qubits
+    runs first, as a necessary condition, and only a match there starts
+    the SU(2) search; a failed solve is Indeterminate without a search.
     """
     if a.n != b.n:
         raise ValueError(f"qubit counts differ: {a.n} vs {b.n}")
@@ -746,7 +744,7 @@ def decide_lu_equivalence(
         local_eigenframes(a, degeneracy_tol=config.degeneracy_tol),
         local_eigenframes(b, degeneracy_tol=config.degeneracy_tol),
     )
-    pre = preflight_invariants(a, b, config.spectrum_tol, frames=frames)
+    pre = preflight_invariants(a, b, config.tol, frames=frames)
     diagnostics["preflight"] = {
         "global_gap": pre.global_gap,
         "marginal_gaps": list(pre.marginal_gaps),

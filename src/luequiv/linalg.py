@@ -44,14 +44,14 @@ def make_rng(seed) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seed))
 
 
-def kron_all(mats, max_dim: int = MAX_KRON_DIM) -> np.ndarray:
+def kron_all(mats) -> np.ndarray:
     """Left-to-right Kronecker product (qubit 1 first), size-checked before it is built."""
     mats = [np.asarray(m, dtype=complex) for m in mats]
     if not mats or any(m.ndim != 2 for m in mats):
         raise ValueError("kron_all needs at least one 2-d factor")
     shape = np.prod([m.shape for m in mats], axis=0)
-    if shape.max() > max_dim:
-        raise ValueError(f"kron output {shape[0]}x{shape[1]} exceeds the {max_dim} dimension cap")
+    if shape.max() > MAX_KRON_DIM:
+        raise ValueError(f"kron output {shape[0]}x{shape[1]} exceeds the {MAX_KRON_DIM} dimension cap")
     return reduce(np.kron, mats)
 
 
@@ -113,6 +113,16 @@ def gram(g: np.ndarray) -> np.ndarray:
             out[rows, cols] = p
             out[cols, rows] = dagger(p)
     return out
+
+
+def gram_distance(m: np.ndarray, g: np.ndarray) -> float:
+    """||m - G G^dag||_F for a Hermitian m, over gram's blocks; off-diagonal ones count twice."""
+    gh = dagger(g)
+    total = 0.0
+    for rows, cols in _upper_blocks(m.shape[0]):
+        diff = m[rows, cols] - g[rows] @ gh[:, cols]
+        total += (1.0 if rows == cols else 2.0) * np.vdot(diff, diff).real
+    return math.sqrt(total)
 
 
 def hermitize(m: np.ndarray) -> tuple[np.ndarray, float]:
@@ -215,7 +225,7 @@ def _phase_fixed(x0: complex, x1: complex) -> tuple[complex, complex]:
     return x0 * phase, x1 * phase
 
 
-def _eig_2x2(h, hermiticity_tol: float, degeneracy_tol: float):
+def _eig_2x2(h, degeneracy_tol: float):
     """Eigenvalues, frame and degeneracy flag of one 2x2 matrix of Python complexes.
 
     See eig_hermitian_2x2_batch.
@@ -224,7 +234,7 @@ def _eig_2x2(h, hermiticity_tol: float, degeneracy_tol: float):
     # ||h - h^dag||_F: the diagonal contributes 2|Im|, each off-diagonal |h01 - conj(h10)|
     skew = h01 - h10.conjugate()
     herm = 4.0 * (h00.imag**2 + h11.imag**2) + 2.0 * (skew.real**2 + skew.imag**2)
-    if math.sqrt(herm) > hermiticity_tol:
+    if math.sqrt(herm) > HERMITICITY_TOL:
         raise ValueError("matrix is not Hermitian within tolerance")
 
     a, c = h00.real, h11.real
@@ -266,9 +276,7 @@ def _eig_2x2(h, hermiticity_tol: float, degeneracy_tol: float):
 
 
 def eig_hermitian_2x2_batch(
-    h,
-    hermiticity_tol: float = HERMITICITY_TOL,
-    degeneracy_tol: float = DEGENERACY_TOL,
+    h, degeneracy_tol: float = DEGENERACY_TOL
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Closed-form eigendecomposition of a stack of Hermitian 2x2 matrices.
 
@@ -282,12 +290,12 @@ def eig_hermitian_2x2_batch(
     largest-modulus entry of each column is real and non-negative.  Each
     matrix is solved on Python scalars, which at these sizes costs less
     than the calls of a vectorized form.  Raises ValueError when any matrix
-    is not Hermitian within hermiticity_tol.
+    is not Hermitian within HERMITICITY_TOL.
     """
     h = np.asarray(h, dtype=complex)
     if h.ndim != 3 or h.shape[1:] != (2, 2):
         raise ValueError(f"expected a stack of 2x2 matrices, got {h.shape}")
-    solved = [_eig_2x2(m, hermiticity_tol, degeneracy_tol) for m in h.tolist()]
+    solved = [_eig_2x2(m, degeneracy_tol) for m in h.tolist()]
     k = len(solved)
     return (
         np.array([values for values, _, _ in solved], dtype=float).reshape(k, 2),
@@ -296,11 +304,7 @@ def eig_hermitian_2x2_batch(
     )
 
 
-def eig_hermitian_2x2(
-    h: np.ndarray,
-    hermiticity_tol: float = HERMITICITY_TOL,
-    degeneracy_tol: float = DEGENERACY_TOL,
-) -> EigenPair2:
+def eig_hermitian_2x2(h: np.ndarray, degeneracy_tol: float = DEGENERACY_TOL) -> EigenPair2:
     """Closed-form eigendecomposition of one Hermitian 2x2 matrix.
 
     The single-matrix case of eig_hermitian_2x2_batch.
@@ -308,7 +312,5 @@ def eig_hermitian_2x2(
     h = np.asarray(h, dtype=complex)
     if h.shape != (2, 2):
         raise ValueError(f"expected a 2x2 matrix, got {h.shape}")
-    values, vectors, degenerate = eig_hermitian_2x2_batch(
-        h[None], hermiticity_tol=hermiticity_tol, degeneracy_tol=degeneracy_tol
-    )
+    values, vectors, degenerate = eig_hermitian_2x2_batch(h[None], degeneracy_tol=degeneracy_tol)
     return EigenPair2(eigenvalues=values[0], vectors=vectors[0], degenerate=bool(degenerate[0]))

@@ -30,7 +30,7 @@ from .states import (
     validate_state,
 )
 
-REPORT_SCHEMA = 1
+REPORT_SCHEMA = 2
 
 
 class StateFileError(ValueError):
@@ -161,7 +161,6 @@ def verdict_report(
         "residual": None,
         "tolerances": {
             "tol": config.tol,
-            "spectrum_tol": config.spectrum_tol,
             "degeneracy_tol": config.degeneracy_tol,
         },
         "diagnostics": verdict.diagnostics,

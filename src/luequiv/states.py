@@ -14,14 +14,22 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import dagger, frobenius_distance, gram, hermitize, partial_trace, projector_distance
+from .linalg import (
+    HERMITICITY_TOL,
+    dagger,
+    frobenius_distance,
+    gram,
+    gram_distance,
+    hermitize,
+    partial_trace,
+    projector_distance,
+)
 
 # dense matrices stop at 10 qubits (16 MB); amplitude vectors at 16 (1 MB)
 MAX_QUBITS = 10
 MAX_PURE_QUBITS = 16
 
 TRACE_TOL = 1e-10
-HERMITICITY_TOL = 1e-10
 PSD_FLOOR = -1e-10
 # a factor is kept when ||m - G G^dag||_F <= FACTOR_TOL.  Exact Ginibre
 # inputs at n = 2..10 measure at most 6e-16, and those of rank 1..4 at
@@ -113,7 +121,7 @@ class BlochVector:
         object.__setattr__(self, "norm", float(np.sqrt(self.x**2 + self.y**2 + self.z**2)))
 
 
-def validate_state(matrix: np.ndarray, max_qubits: int = MAX_QUBITS) -> NQubitState:
+def validate_state(matrix: np.ndarray) -> NQubitState:
     """Check Hermiticity, unit trace and positivity, then freeze the state.
 
     Raises StateValidationError naming the first violated property and its
@@ -129,8 +137,8 @@ def validate_state(matrix: np.ndarray, max_qubits: int = MAX_QUBITS) -> NQubitSt
     n = dim.bit_length() - 1
     if dim < 2 or 2**n != dim:
         raise StateValidationError("shape", 0.0, f"dimension {dim} is not a power of two >= 2")
-    if n > max_qubits:
-        raise StateValidationError("shape", float(n), f"{n} qubits exceeds the cap of {max_qubits}")
+    if n > MAX_QUBITS:
+        raise StateValidationError("shape", float(n), f"{n} qubits exceeds the cap of {MAX_QUBITS}")
     if not np.all(np.isfinite(m)):
         raise StateValidationError("finite", float("nan"), "matrix has non-finite entries")
 
@@ -187,7 +195,7 @@ def _low_rank_factor(m: np.ndarray) -> tuple[np.ndarray | None, float]:
         rest -= np.abs(g[:, r]) ** 2
         r += 1
     g = np.ascontiguousarray(g[:, :r])
-    error = frobenius_distance(m, g @ dagger(g))
+    error = gram_distance(m, g)
     if not error <= FACTOR_TOL:
         return None, 0.0
     g.flags.writeable = False

@@ -63,9 +63,7 @@ def local_eigenframes(
 
 
 def to_trace_form(
-    state: NQubitState,
-    degeneracy_tol: float = DEGENERACY_TOL,
-    frames: tuple[LocalEigenframe, ...] | None = None,
+    state: NQubitState, frames: tuple[LocalEigenframe, ...] | None = None
 ) -> TraceForm:
     """Rotate the state into the tensor product of its marginal eigenframes.
 
@@ -77,7 +75,7 @@ def to_trace_form(
     are the input's, both being unitary invariants.
     """
     if frames is None:
-        frames = local_eigenframes(state, degeneracy_tol=degeneracy_tol)
+        frames = local_eigenframes(state)
     factors = [dagger(f.v) for f in frames]
     if state.factor is None:
         rotated = conjugate_local(state.matrix, factors)

@@ -39,10 +39,12 @@ from luequiv.engine import (
     assemble_witness,
     smith_form,
 )
-from luequiv.linalg import kron_all
+from luequiv.linalg import conjugate_local, kron_all
 from tests.conftest import (
     I2,
     SX,
+    SY,
+    SZ,
     bell_state,
     dephased,
     direct_residual,
@@ -91,6 +93,47 @@ def test_preflight_global_spectrum_first():
 def test_preflight_dimension_mismatch():
     with pytest.raises(ValueError):
         preflight_invariants(bell_state(), ghz_state(3), 1e-9)
+
+
+def _marginal_shift_pair(n: int, rank: int, s: int, c: float):
+    """a, and a rotated copy of it plus c (r.sigma x I x ... x I).
+
+    r is the Bloch axis of qubit 1 of the rotated matrix, so the
+    perturbation moves qubit 1's marginal eigenvalues by c 2^(n-1) and no
+    other marginal; its Frobenius norm is c 2^(n/2).
+    """
+    rng = make_rng(700 + 10 * n + s)
+    a = random_mixed_state(n, rank, rng)
+    rotated = conjugate_local(a.matrix, [haar_local_unitary(rng) for _ in range(n)])
+    q = rotated.reshape(2, 2 ** (n - 1), 2, 2 ** (n - 1)).trace(axis1=1, axis2=3)
+    axis = np.array([2 * q[0, 1].real, -2 * q[0, 1].imag, (q[0, 0] - q[1, 1]).real])
+    axis /= np.linalg.norm(axis)
+    r_sigma = axis[0] * SX + axis[1] * SY + axis[2] * SZ
+    return a, validate_state(rotated + c * np.kron(r_sigma, np.eye(2 ** (n - 1))))
+
+
+@pytest.mark.parametrize("n,rank", [(6, 64), (8, 4)])
+@pytest.mark.parametrize("s", range(3))
+def test_preflight_passes_pairs_with_a_witness_within_tol(n, rank, s):
+    # the perturbation has norm tol / 2 but moves a marginal eigenvalue by
+    # tol 2^(n/2 - 2) (2e-9 at n = 6, 4e-9 at n = 8), above tol: only the
+    # marginal bound 2^((n-1)/2) tol lets the witness through
+    tol = EngineConfig().tol
+    a, b = _marginal_shift_pair(n, rank, s, tol / (2 * 2 ** (n / 2)))
+    verdict = decide_lu_equivalence(a, b)
+    assert verdict.outcome == EQUIVALENT
+    assert max(verdict.diagnostics["preflight"]["marginal_gaps"]) > tol
+    assert direct_residual(a, b, verdict.witness.unitaries) <= tol
+
+
+def test_preflight_rejects_a_marginal_gap_above_its_bound():
+    tol, n = EngineConfig().tol, 6
+    bound = 2 ** ((n - 1) / 2) * tol
+    a, b = _marginal_shift_pair(n, 64, 0, 1.5 * bound / 2 ** (n - 1))
+    verdict = decide_lu_equivalence(a, b)
+    assert verdict.reason == BY_MARGINAL_SPECTRA
+    assert verdict.diagnostics["preflight"]["failed_qubit"] == 1
+    assert verdict.diagnostics["preflight"]["gap"] == pytest.approx(1.5 * bound, rel=1e-3)
 
 
 # ------------------------------------------------------------ phase matching
@@ -577,8 +620,6 @@ def test_inequivalent_degenerate_pair_stays_indeterminate():
         ("tol", 0.0),
         ("tol", -1e-9),
         ("tol", float("nan")),
-        ("spectrum_tol", -1.0),
-        ("spectrum_tol", float("inf")),
         ("degeneracy_tol", 0.0),
         ("degeneracy_tol", -1.0),
         ("fallback_restarts", 0),

@@ -101,7 +101,7 @@ def test_verdict_report_structure():
     config = EngineConfig()
     verdict = decide_lu_equivalence(state, rotated, config)
     report = verdict_report(verdict, config, inputs={"a": "sha256:x", "b": "sha256:y"})
-    assert report["schema"] == 1
+    assert report["schema"] == 2
     assert report["verdict"] == "equivalent"
     assert report["residual"] < 1e-9
     assert len(report["witness"]) == 2
