@@ -103,8 +103,13 @@ def test_check_fallback_certifies(ghz_files, capsys):
         ("pair_files", ["--tol", "-1"]),
         ("pair_files", ["--tol", "nan"]),
         ("pair_files", ["--tol", "inf"]),
-        ("ghz_files", ["--fallback", "--degeneracy-tol", "0"]),
-        ("ghz_files", ["--fallback", "--degeneracy-tol", "-1"]),
+        # ids kept from when the list also held --spectrum-tol and --restarts cases
+        pytest.param(
+            "ghz_files", ["--fallback", "--degeneracy-tol", "0"], id="ghz_files-flags4"
+        ),
+        pytest.param(
+            "ghz_files", ["--fallback", "--degeneracy-tol", "-1"], id="ghz_files-flags5"
+        ),
     ],
 )
 def test_check_invalid_config_exit_three(files, flags, request, capsys):
