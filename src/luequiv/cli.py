@@ -176,8 +176,13 @@ def _cmd_gen(args) -> int:
         raise CliError(f"{args.n} qubits exceeds the cap of {cap} for {args.kind} states")
     label = args.label or f"{args.kind} n={args.n} seed={args.seed}"
     if args.min_bloch is not None:
+        if not 0.0 <= args.min_bloch <= 1.0:
+            raise CliError(f"--min-bloch must lie in [0, 1], as a Bloch norm does, got {args.min_bloch}")
         rank = 1 if args.kind == "pure" else args.rank
-        state = random_state_with_bloch_floor(args.n, args.seed, rank=rank, min_bloch=args.min_bloch)
+        try:
+            state = random_state_with_bloch_floor(args.n, args.seed, rank=rank, min_bloch=args.min_bloch)
+        except RuntimeError as exc:  # every draw fell below the floor
+            raise CliError(str(exc)) from exc
         text = (
             emit_mixed_state_file(state.matrix, label=label)
             if args.kind == "mixed"

@@ -14,12 +14,15 @@ The pipeline follows the trace-decomposition protocol:
    from the original inputs before an Equivalent verdict is issued.
 
 A state with a factor G (rho ~ G G^dag, see states) runs every stage on
-it: the trace form is (V_1^dag x ... x V_n^dag) G, and the witness residual
-is taken against (U G)(U G)^dag.  Two rank-1 factors (pure states) are
-compared as vectors throughout, in O(n 2**n): trace-form entries are
-psi_r conj(psi_c), and the witness residual follows from the distance of
-the vectors.  Any other rank reads the phase equations from the trace
-forms' G G^dag.  The SU(2) fallback works on the density matrices.
+it: the trace form is G_t = (V_1^dag x ... x V_n^dag) G.  Two factors are
+compared through the R factor of [G_t, H_t] (linalg.factor_distance), and
+the phase solve reads its entries G_t,r G_t,c^dag row by row, so a
+decision between two factors of rank r forms no 2**n x 2**n array.  Two
+rank-1 factors (pure states) cost O(n 2**n) throughout.  The witness
+residual is taken against (U G)(U G)^dag: for two rank-1 factors as
+vectors, otherwise against the other input's matrix, block by block.  A
+mixed qubit is traced out of the matrices, and the SU(2) fallback works on
+the density matrices.
 
 A factor's error e = ||rho - G G^dag||_F is carried into the verdict: with
 eps = e_a + e_b, every distance taken on the factors is within eps of the
@@ -50,7 +53,10 @@ from .linalg import (
     apply_local,
     conjugate_local,
     dagger,
+    factor_distance,
     frobenius_distance,
+    gram_blocks,
+    gram_distance,
     make_rng,
     projector_distance,
 )
@@ -369,11 +375,15 @@ class _Entries:
     """Trace-form entries of a pair, for the phase solve.
 
     weight[i] is the weight min(|rho_rc|, |rho'_rc|) of the entry at flat
-    index _flat(i) = r * 2**m + c.  A subclass supplies the weights, the
-    entry values, the modulus bound and the branch residual.
+    index _flat(i) = r * 2**m + c.  A subclass supplies the weights (or its
+    own heaviest and above), the entry values, the modulus bound and the
+    branch residual.
     """
 
     floor_scale = 1.0
+    # bound() costs no more than reading the candidates, so phase_match
+    # takes it before the branches
+    bound_first = True
 
     def _flat(self, i: np.ndarray) -> np.ndarray:
         return i
@@ -414,45 +424,137 @@ class _DenseEntries(_Entries):
         return frobenius_distance(self.b, np.conj(z)[:, None] * self.a * z)
 
 
-class _PureEntries(_Entries):
-    """Entries psi_r conj(psi_c) and phi_r conj(phi_c) of two rank-1 trace forms.
+def _row_products(f: np.ndarray, r: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """The entries (f f^dag)_rc at the index pairs (r, c), summed one column of f at a time."""
+    out = f[:, 0][r] * np.conj(f[:, 0][c])
+    for col in f.T[1:]:
+        out += col[r] * np.conj(col[c])
+    return out
 
-    No matrix is built.  The candidates are the row of one anchor index,
-    the one with the largest min(|psi_r|, |phi_r|): the differences within a
-    set of indices span the same lattice as their differences to one of
-    them, so the anchor's row reaches the rank of all the heavy entries.
-    Its weights are held against floor * floor_scale, with floor_scale =
-    min(|psi_anchor|, |phi_anchor|) / max_r max(|psi_r|, |phi_r|): an index
-    whose anchor entry falls below that has no entry at all above floor.
+
+# rows of a factor pair read per step of _FactorEntries.heaviest: 16 rows of
+# 2**10 entries take 256 KB per side
+_ROWS = 16
+
+
+class _FactorEntries(_Entries):
+    """Entries G_r G_c^dag and H_r H_c^dag of two factor trace forms.
+
+    No 2**m x 2**m array is built: a row of entries costs O(2**m r), and
+    since |rho_rc| <= sqrt(rho_rr rho_cc), an entry's weight is at most
+    sqrt(s_r s_c) with s_r = sqrt(rho_rr rho'_rr).  An entry is read in the
+    row of its index that is read first, at flat index row * 2**m + column.
+
+    Two rank-1 factors psi, phi: the candidates are the row of one anchor
+    index, the one with the largest min(|psi_r|, |phi_r|).  The differences
+    within a set of indices span the same lattice as their differences to
+    one of them, so the anchor's row reaches the rank of all the heavy
+    entries.  Its weights are held against floor * floor_scale, with
+    floor_scale = min(|psi_anchor|, |phi_anchor|) / max_r max(|psi_r|,
+    |phi_r|): an index whose anchor entry falls below that has no entry at
+    all above floor.
+
+    Any other ranks: a zero can sit anywhere off the diagonal, so one row
+    does not reach that rank.  heaviest reads rows by decreasing s until no
+    unread entry can be among the k heaviest, which are then those of the
+    whole matrix, and above scans gram's blocks; both choose what
+    _DenseEntries would.
     """
 
-    def __init__(self, psi: np.ndarray, phi: np.ndarray):
-        self.psi, self.phi = psi, phi
-        self.x, self.y = np.abs(psi), np.abs(phi)
-        self.m = psi.size.bit_length() - 1
-        z = np.minimum(self.x, self.y)
-        self.anchor = int(np.argmax(z))
-        self.weight = np.minimum(self.x[self.anchor] * self.x, self.y[self.anchor] * self.y)
-        self.weight[self.anchor] = 0.0
-        self.floor_scale = z[self.anchor] / max(self.x.max(), self.y.max())
+    def __init__(self, g: np.ndarray, h: np.ndarray):
+        self.g, self.h = g, h
+        self.m = g.shape[0].bit_length() - 1
+        self.anchor = None
+        if g.shape[1] == h.shape[1] == 1:
+            self.x, self.y = np.abs(g[:, 0]), np.abs(h[:, 0])
+            z = np.minimum(self.x, self.y)
+            self.anchor = int(np.argmax(z))
+            self.weight = np.minimum(self.x[self.anchor] * self.x, self.y[self.anchor] * self.y)
+            self.weight[self.anchor] = 0.0
+            self.floor_scale = z[self.anchor] / max(self.x.max(), self.y.max())
+        # above rank 1 the bound is a pass over every entry
+        self.bound_first = self.anchor is not None
 
     def _flat(self, c: np.ndarray) -> np.ndarray:
         return self.anchor * 2**self.m + c
 
+    def heaviest(self, k: int, floor: float):
+        if self.anchor is not None:
+            return super().heaviest(k, floor)
+        d = self.g.shape[0]
+        s = np.linalg.norm(self.g, axis=1) * np.linalg.norm(self.h, axis=1)
+        order = np.argsort(-s, kind="stable")
+        s = s[order]
+        # the place of each index in the reading order
+        place = np.empty(d, dtype=np.int64)
+        place[order] = np.arange(d)
+        gh, hh = dagger(self.g), dagger(self.h)
+        flat, weight = np.zeros(0, dtype=np.int64), np.zeros(0)
+        for start in range(0, d - 1, _ROWS):
+            # no entry between two unread indices weighs more than reach
+            reach = math.sqrt(s[start] * s[start + 1])
+            if reach <= floor or (weight.size == k and reach <= weight.min()):
+                break
+            rows = order[start : start + _ROWS]
+            w = np.minimum(np.abs(self.g[rows] @ gh), np.abs(self.h[rows] @ hh))
+            # an entry is read in the row of its index read first
+            w[place <= np.arange(start, start + rows.size)[:, None]] = 0.0
+            i, c = np.nonzero(w > floor)
+            flat = np.concatenate([flat, rows[i] * d + c])
+            weight = np.concatenate([weight, w[i, c]])
+            if weight.size > k:
+                keep = np.argpartition(weight, -k)[-k:]
+                flat, weight = flat[keep], weight[keep]
+        return flat, weight
+
+    def above(self, floor: float):
+        if self.anchor is not None:
+            return super().above(floor)
+        # only the heaviest entry of each coefficient row reaches
+        # _pinning_equations' choice, so one slot per row of {-1, 0, 1}^m
+        # keeps the scan's output below 3**m entries
+        half = (3**self.m - 1) // 2
+        best_w, best_f = np.zeros(3**self.m), np.zeros(3**self.m, dtype=np.int64)
+        codes = 3 ** np.arange(self.m)
+        for (rows, cols, p), (_, _, q) in zip(gram_blocks(self.g), gram_blocks(self.h)):
+            w = np.minimum(np.abs(p), np.abs(q))
+            if rows == cols:
+                w = np.triu(w, 1)
+            i, c = np.nonzero(w > floor)
+            f = (rows.start + i) * 2**self.m + cols.start + c
+            key = _entry_rows(f, self.m) @ codes + half
+            wf = w[i, c]
+            # per key the heaviest entry, ties to the first flat index
+            order = np.lexsort((f, -wf, key))
+            first = order[np.unique(key[order], return_index=True)[1]]
+            key, wf, f = key[first], wf[first], f[first]
+            better = (wf > best_w[key]) | ((wf == best_w[key]) & (f < best_f[key]))
+            best_w[key[better]], best_f[key[better]] = wf[better], f[better]
+        kept = np.flatnonzero(best_w)
+        by_flat = np.argsort(best_f[kept], kind="stable")
+        return best_f[kept][by_flat], best_w[kept][by_flat]
+
     def bound(self) -> float:
-        """||xx^T - yy^T||_F for x = |psi|, y = |phi| (real, so no aligning phase)."""
-        return projector_distance(self.x, self.y)
+        """Frobenius norm of the entrywise modulus gap.
+
+        At rank 1 that is ||xx^T - yy^T||_F for x = |psi|, y = |phi| (real,
+        so no aligning phase); otherwise it is summed over gram's blocks.
+        """
+        if self.anchor is not None:
+            return projector_distance(self.x, self.y)
+        total = 0.0
+        for (rows, cols, p), (_, _, q) in zip(gram_blocks(self.g), gram_blocks(self.h)):
+            diff = np.abs(p) - np.abs(q)
+            total += (1.0 if rows == cols else 2.0) * float(np.vdot(diff, diff).real)
+        return math.sqrt(total)
 
     def values(self, flat: np.ndarray):
-        c = flat - self.anchor * 2**self.m
-        return (
-            self.psi[self.anchor] * np.conj(self.psi[c]),
-            self.phi[self.anchor] * np.conj(self.phi[c]),
-        )
+        r, c = np.divmod(flat, 2**self.m)
+        return _row_products(self.g, r, c), _row_products(self.h, r, c)
 
     def residual(self, w: np.ndarray) -> float:
-        """||phi phi^dag - (D psi)(D psi)^dag||_F, D the phase conjugation by w."""
-        return projector_distance(self.phi, np.exp(-2j * (_bits(self.m) @ w)) * self.psi)
+        """||H H^dag - (D G)(D G)^dag||_F, D the phase conjugation by w, acting on G's rows."""
+        return factor_distance(self.h, np.exp(-2j * (_bits(self.m) @ w))[:, None] * self.g)
 
 
 def phase_match(t: TraceForm, t_prime: TraceForm, tol: float) -> PhaseMatchResult:
@@ -465,26 +567,30 @@ def phase_match(t: TraceForm, t_prime: TraceForm, tol: float) -> PhaseMatchResul
     coefficients in {-1, 0, 1}.  Maximally mixed qubits carry no phase and
     are traced out first.  The solve:
 
-    1. the Frobenius norm of the entrywise modulus gap is a lower bound of
-       every assignment's residual; above tol it proves no_solution;
-    2. equations are chosen greedily by min(|rho_rc|, |rho'_rc|) until they
+    1. equations are chosen greedily by min(|rho_rc|, |rho'_rc|) until they
        reach the rank of all entries above a floor.  Entries below it, taken
        together, move any residual by at most tol / 2;
-    3. a Smith form u S v = diag(d) of the chosen equations gives all prod(d)
+    2. a Smith form u S v = diag(d) of the chosen equations gives all prod(d)
        of their solutions on the torus, the branches;
-    4. each branch is scored on the heaviest entries, a lower bound of its
+    3. each branch is scored on the heaviest entries, a lower bound of its
        residual.  Survivors get the full residual, and the first within tol
-       is matched.  no_solution means that no branch is.
+       is matched;
+    4. the Frobenius norm of the entrywise modulus gap is a lower bound of
+       every assignment's residual; above tol it proves no_solution and is
+       reported with no branches.  It is taken before step 1 when it costs
+       no more than the entries read there (bound_first), and otherwise
+       only when no branch matched.
 
-    Two rank-1 trace forms with no mixed qubit are read from their vectors
-    (_PureEntries), in O(n 2**n); otherwise from the density matrices
-    (_DenseEntries).  The residual is the Frobenius distance of the matrices
-    reduced to the m non-mixed of n qubits, divided by 2^((n-m)/2): the
-    distance of those reductions tensored with the maximally mixed state.
-    The trace forms' factor errors, eps in total, move that residual by at
-    most eps, so the modulus bound and the branch scores drop by eps before
-    they reject, and a matched residual is reported with eps added.  A
-    no_solution residual is the smallest such lower bound, floored at 0.
+    Two trace forms with factors and no mixed qubit are read from their
+    factors (_FactorEntries), row by row, with residuals from factor_distance;
+    otherwise from the density matrices (_DenseEntries).  The residual is
+    the Frobenius distance of the matrices reduced to the m non-mixed of n
+    qubits, divided by 2^((n-m)/2): the distance of those reductions
+    tensored with the maximally mixed state.  The trace forms' factor
+    errors, eps in total, move that residual by at most eps, so the modulus
+    bound and the branch scores drop by eps before they reject, and a
+    matched residual is reported with eps added.  A no_solution residual is
+    the smallest such lower bound, floored at 0.
     """
     n = t.state.n
     if n != t_prime.state.n:
@@ -493,8 +599,8 @@ def phase_match(t: TraceForm, t_prime: TraceForm, tol: float) -> PhaseMatchResul
         [not (f.maximally_mixed or g.maximally_mixed) for f, g in zip(t.frames, t_prime.frames)]
     )
     m = int(active.sum())
-    if m == n and t.state.rank == 1 and t_prime.state.rank == 1:
-        entries = _PureEntries(t.state.amplitudes, t_prime.state.amplitudes)
+    if m == n and t.state.factor is not None and t_prime.state.factor is not None:
+        entries = _FactorEntries(t.state.factor, t_prime.state.factor)
     else:
         entries = _DenseEntries(
             _trace_out(t.state.matrix, active), _trace_out(t_prime.state.matrix, active)
@@ -504,8 +610,10 @@ def phase_match(t: TraceForm, t_prime: TraceForm, tol: float) -> PhaseMatchResul
     # a partial trace over n - m qubits grows a Frobenius norm at most by scale
     eps_r = (t.state.factor_error + t_prime.state.factor_error) * scale
 
-    bound = entries.bound() - eps_r
-    if bound > tol_r:
+    # the modulus bound only decides where no branch matches, so a bound
+    # that reads every entry is left until then
+    bound = entries.bound() - eps_r if entries.bound_first else None
+    if bound is not None and bound > tol_r:
         return PhaseMatchResult(status=NO_SOLUTION, assignment=None, residual=bound / scale)
 
     floor = tol_r / 2.0 ** (m + 2)
@@ -542,6 +650,10 @@ def phase_match(t: TraceForm, t_prime: TraceForm, tol: float) -> PhaseMatchResul
                 )
             low = residual - eps_r
         best = min(best, low)
+    if bound is None:
+        bound = entries.bound() - eps_r
+    if bound > tol_r:
+        return PhaseMatchResult(status=NO_SOLUTION, assignment=None, residual=bound / scale)
     return PhaseMatchResult(NO_SOLUTION, None, max(best, 0.0) / scale, branches, min_modulus)
 
 
@@ -580,17 +692,18 @@ def _witness_residual(us, original: NQubitState, original_prime: NQubitState) ->
     """An upper bound of ||rho' - U rho U^dag||_F, exact up to the factor errors it adds.
 
     A factor G of rho is rotated to U G.  Two rank-1 factors are compared as
-    vectors, adding both errors; otherwise (U G)(U G)^dag is compared with
-    the matrix of rho', adding the error of rho.  A dense-only rho is
-    conjugated whole.
+    vectors (factor_distance), adding both errors; otherwise the matrix of
+    rho' is compared with (U G)(U G)^dag over gram's blocks
+    (gram_distance), adding the error of rho, so no 2**n x 2**n product or
+    difference is formed.  A dense-only rho is conjugated whole.
     """
     if original.factor is None:
         return frobenius_distance(original_prime.matrix, conjugate_local(original.matrix, us))
     ug = apply_local(original.factor, us)
     if ug.shape[1] == 1 and original_prime.rank == 1:
-        distance = projector_distance(original_prime.amplitudes, ug[:, 0])
+        distance = factor_distance(original_prime.factor, ug)
         return distance + original.factor_error + original_prime.factor_error
-    return frobenius_distance(original_prime.matrix, ug @ dagger(ug)) + original.factor_error
+    return gram_distance(original_prime.matrix, ug) + original.factor_error
 
 
 def _finalize_witness(

@@ -94,6 +94,13 @@ def _upper_blocks(d: int):
             yield slice(i, i + _BLOCK), slice(j, j + _BLOCK)
 
 
+def gram_blocks(g: np.ndarray):
+    """(rows, cols, G[rows] G[cols]^dag) over the square blocks on and above the diagonal of G G^dag."""
+    gh = dagger(g)
+    for rows, cols in _upper_blocks(g.shape[0]):
+        yield rows, cols, g[rows] @ gh[:, cols]
+
+
 def gram(g: np.ndarray) -> np.ndarray:
     """G G^dag for a 2-d G, exactly Hermitian, built in square blocks.
 
@@ -103,10 +110,8 @@ def gram(g: np.ndarray) -> np.ndarray:
     product followed by a whole-matrix Hermitization.
     """
     d = g.shape[0]
-    gh = dagger(g)
     out = np.empty((d, d), dtype=complex)
-    for rows, cols in _upper_blocks(d):
-        p = g[rows] @ gh[:, cols]
+    for rows, cols, p in gram_blocks(g):
         if rows == cols:
             out[rows, rows] = 0.5 * (p + dagger(p))
         else:
@@ -117,10 +122,9 @@ def gram(g: np.ndarray) -> np.ndarray:
 
 def gram_distance(m: np.ndarray, g: np.ndarray) -> float:
     """||m - G G^dag||_F for a Hermitian m, over gram's blocks; off-diagonal ones count twice."""
-    gh = dagger(g)
     total = 0.0
-    for rows, cols in _upper_blocks(m.shape[0]):
-        diff = m[rows, cols] - g[rows] @ gh[:, cols]
+    for rows, cols, p in gram_blocks(g):
+        diff = m[rows, cols] - p
         total += (1.0 if rows == cols else 2.0) * np.vdot(diff, diff).real
     return math.sqrt(total)
 
@@ -165,6 +169,24 @@ def projector_distance(u: np.ndarray, v: np.ndarray) -> float:
     s = float(np.linalg.norm(u + w))
     k = float(np.vdot(u, u).real - np.vdot(v, v).real)
     return float(np.sqrt(0.5 * (d * d * s * s + k * k)))
+
+
+def factor_distance(g: np.ndarray, h: np.ndarray) -> float:
+    """||G G^dag - H H^dag||_F of two factors with the same row count.
+
+    Two single columns are projector_distance's case.  Otherwise, with
+    K = [G, H] = Q R and J = diag(1_r, -1_s), G G^dag - H H^dag is
+    K J K^dag = Q (R J R^dag) Q^dag, and Q has orthonormal columns, so the
+    norm is that of the at most (r + s) x (r + s) R J R^dag.  Householder QR
+    is backward stable, so the result is within rounding of the exact
+    distance of slightly moved factors, and the 2**n x 2**n difference is
+    never formed.
+    """
+    if g.shape[1] == h.shape[1] == 1:
+        return projector_distance(g[:, 0], h[:, 0])
+    r = np.linalg.qr(np.hstack([g, h]), mode="r")
+    k = g.shape[1]
+    return float(np.linalg.norm(r[:, :k] @ dagger(r[:, :k]) - r[:, k:] @ dagger(r[:, k:])))
 
 
 def frobenius_distance(a: np.ndarray, b: np.ndarray) -> float:

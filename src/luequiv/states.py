@@ -17,12 +17,12 @@ import numpy as np
 from .linalg import (
     HERMITICITY_TOL,
     dagger,
+    factor_distance,
     frobenius_distance,
     gram,
     gram_distance,
     hermitize,
     partial_trace,
-    projector_distance,
 )
 
 # dense matrices stop at 10 qubits (16 MB); amplitude vectors at 16 (1 MB)
@@ -248,12 +248,12 @@ def reduced_qubit(state: NQubitState, i: int) -> np.ndarray:
 def state_distance(a: NQubitState, b: NQubitState) -> float:
     """Frobenius distance of the two density matrices.
 
-    Two states with rank-1 factors are compared through the vectors
-    (projector_distance), which is within a.factor_error + b.factor_error
-    of the distance of the matrices.
+    Two states with factors are compared through them (factor_distance),
+    which is within a.factor_error + b.factor_error of the distance of the
+    matrices, and builds neither.
     """
-    if a.amplitudes is not None and b.amplitudes is not None:
-        return projector_distance(a.amplitudes, b.amplitudes)
+    if a.factor is not None and b.factor is not None:
+        return factor_distance(a.factor, b.factor)
     return frobenius_distance(a.matrix, b.matrix)
 
 

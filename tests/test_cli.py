@@ -195,6 +195,27 @@ def test_gen_min_bloch(tmp_path):
         assert bloch_vector(reduced_qubit(state, q)).norm >= 0.1
 
 
+@pytest.mark.parametrize("floor", ["2", "-0.1", "nan"])
+def test_gen_min_bloch_outside_the_unit_interval_exit_three(tmp_path, capsys, floor):
+    # a Bloch norm never exceeds 1, so the floor is refused before sampling
+    out = tmp_path / "s.json"
+    argv = ["gen", "--n", "2", "--kind", "mixed", "--min-bloch", floor, "--seed", "1"]
+    assert run_command([*argv, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "[0, 1]" in err
+    assert not out.exists()
+
+
+def test_gen_min_bloch_sampler_exhaustion_exit_three(tmp_path, capsys):
+    # a rank-2 marginal is never pure, so no draw reaches the floor 1
+    out = tmp_path / "s.json"
+    argv = ["gen", "--n", "2", "--kind", "mixed", "--min-bloch", "1", "--seed", "1"]
+    assert run_command([*argv, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Bloch floor" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("n, kind", [("17", "pure"), ("11", "mixed")])
 @pytest.mark.parametrize("floor", [[], ["--min-bloch", "0.05"]])
 def test_gen_refuses_above_the_qubit_cap(tmp_path, capsys, n, kind, floor):

@@ -17,6 +17,7 @@ from luequiv.linalg import (
     dagger,
     eig_hermitian_2x2,
     eig_hermitian_2x2_batch,
+    factor_distance,
     frobenius_distance,
     hermitize,
     kron_all,
@@ -235,6 +236,43 @@ def test_projector_distance_matches_dense_frobenius():
     assert projector_distance(u, np.exp(0.4j) * u) < 1e-15
     e0, e1 = np.eye(2, dtype=complex)
     assert projector_distance(e0, e1) == pytest.approx(np.sqrt(2.0), rel=1e-15)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    n=st.integers(2, 8),
+    r=st.integers(1, 4),
+    noise=st.floats(0.0, 1e-9),
+    seed=st.integers(0, 10**6),
+)
+def test_factor_distance_matches_dense_frobenius(n, r, noise, seed):
+    # H is G moved by up to 1e-9 per entry, its columns mixed by a random
+    # unitary, which leaves H H^dag unchanged
+    rng = np.random.default_rng(seed)
+    d = 2**n
+    g = rng.normal(size=(d, r)) + 1j * rng.normal(size=(d, r))
+    g /= np.linalg.norm(g)
+    mix, _ = np.linalg.qr(rng.normal(size=(r, r)) + 1j * rng.normal(size=(r, r)))
+    h = (g + noise * (rng.normal(size=(d, r)) + 1j * rng.normal(size=(d, r)))) @ mix
+    dense = np.linalg.norm(g @ g.conj().T - h @ h.conj().T)
+    got = factor_distance(g, h)
+    assert abs(got - dense) <= 1e-14
+    assert factor_distance(h, g) == pytest.approx(got, rel=1e-10, abs=1e-15)
+    if r == 1:
+        assert got == projector_distance(g[:, 0], h[:, 0])
+
+
+def test_factor_distance_of_unequal_ranks():
+    rng = np.random.default_rng(96)
+    for r, s in [(1, 2), (2, 1), (3, 4), (4, 2)]:
+        g = rng.normal(size=(16, r)) + 1j * rng.normal(size=(16, r))
+        h = rng.normal(size=(16, s)) + 1j * rng.normal(size=(16, s))
+        dense = np.linalg.norm(g @ g.conj().T - h @ h.conj().T)
+        assert factor_distance(g, h) == pytest.approx(dense, rel=1e-12)
+    # a stack wider than its row count: 2 rows, 4 columns
+    g, h = rng.normal(size=(2, 2)), rng.normal(size=(2, 2))
+    dense = np.linalg.norm(g @ g.T - h @ h.T)
+    assert factor_distance(g, h) == pytest.approx(dense, rel=1e-12)
 
 
 # ------------------------------------------------- the scalar 2x2 eigen kernel
