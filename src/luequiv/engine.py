@@ -432,7 +432,7 @@ def _row_products(f: np.ndarray, r: np.ndarray, c: np.ndarray) -> np.ndarray:
     return out
 
 
-# rows of a factor pair read per step of _FactorEntries.heaviest: 16 rows of
+# rows of a factor pair read per step of _RowEntries.heaviest: 16 rows of
 # 2**10 entries take 256 KB per side
 _ROWS = 16
 
@@ -442,45 +442,68 @@ class _FactorEntries(_Entries):
 
     No 2**m x 2**m array is built: a row of entries costs O(2**m r), and
     since |rho_rc| <= sqrt(rho_rr rho_cc), an entry's weight is at most
-    sqrt(s_r s_c) with s_r = sqrt(rho_rr rho'_rr).  An entry is read in the
-    row of its index that is read first, at flat index row * 2**m + column.
-
-    Two rank-1 factors psi, phi: the candidates are the row of one anchor
-    index, the one with the largest min(|psi_r|, |phi_r|).  The differences
-    within a set of indices span the same lattice as their differences to
-    one of them, so the anchor's row reaches the rank of all the heavy
-    entries.  Its weights are held against floor * floor_scale, with
-    floor_scale = min(|psi_anchor|, |phi_anchor|) / max_r max(|psi_r|,
-    |phi_r|): an index whose anchor entry falls below that has no entry at
-    all above floor.
-
-    Any other ranks: a zero can sit anywhere off the diagonal, so one row
-    does not reach that rank.  heaviest reads rows by decreasing s until no
-    unread entry can be among the k heaviest, which are then those of the
-    whole matrix, and above scans gram's blocks; both choose what
-    _DenseEntries would.
+    sqrt(s_r s_c) with s_r = sqrt(rho_rr rho'_rr).  A subclass chooses the
+    candidates and supplies the modulus bound.
     """
 
     def __init__(self, g: np.ndarray, h: np.ndarray):
         self.g, self.h = g, h
         self.m = g.shape[0].bit_length() - 1
-        self.anchor = None
-        if g.shape[1] == h.shape[1] == 1:
-            self.x, self.y = np.abs(g[:, 0]), np.abs(h[:, 0])
-            z = np.minimum(self.x, self.y)
-            self.anchor = int(np.argmax(z))
-            self.weight = np.minimum(self.x[self.anchor] * self.x, self.y[self.anchor] * self.y)
-            self.weight[self.anchor] = 0.0
-            self.floor_scale = z[self.anchor] / max(self.x.max(), self.y.max())
-        # above rank 1 the bound is a pass over every entry
-        self.bound_first = self.anchor is not None
+
+    def values(self, flat: np.ndarray):
+        r, c = np.divmod(flat, 2**self.m)
+        return _row_products(self.g, r, c), _row_products(self.h, r, c)
+
+    def residual(self, w: np.ndarray) -> float:
+        """||H H^dag - (D G)(D G)^dag||_F, D the phase conjugation by w, acting on G's rows."""
+        return factor_distance(self.h, np.exp(-2j * (_bits(self.m) @ w))[:, None] * self.g)
+
+
+class _AnchorEntries(_FactorEntries):
+    """Two rank-1 factors psi, phi: the candidates are one anchor index's row.
+
+    The anchor is the index with the largest min(|psi_r|, |phi_r|).  The
+    differences within a set of indices span the same lattice as their
+    differences to one of them, so the anchor's row reaches the rank of all
+    the heavy entries.  Its weights are held against floor * floor_scale,
+    with floor_scale = min(|psi_anchor|, |phi_anchor|) / max_r max(|psi_r|,
+    |phi_r|): an index whose anchor entry falls below that has no entry at
+    all above floor.  Kept apart from _RowEntries, whose above() keeps 3**m
+    slots, too many for pure states of 16 qubits.
+    """
+
+    def __init__(self, g: np.ndarray, h: np.ndarray):
+        super().__init__(g, h)
+        self.x, self.y = np.abs(g[:, 0]), np.abs(h[:, 0])
+        z = np.minimum(self.x, self.y)
+        self.anchor = int(np.argmax(z))
+        self.weight = np.minimum(self.x[self.anchor] * self.x, self.y[self.anchor] * self.y)
+        self.weight[self.anchor] = 0.0
+        self.floor_scale = z[self.anchor] / max(self.x.max(), self.y.max())
 
     def _flat(self, c: np.ndarray) -> np.ndarray:
         return self.anchor * 2**self.m + c
 
+    def bound(self) -> float:
+        """||xx^T - yy^T||_F for x = |psi|, y = |phi| (real, so no aligning phase)."""
+        return projector_distance(self.x, self.y)
+
+
+class _RowEntries(_FactorEntries):
+    """Two factors of any other ranks, read a block of rows at a time.
+
+    A zero can sit anywhere off the diagonal, so one row does not reach the
+    rank of the heavy entries.  heaviest reads rows by decreasing s until no
+    unread entry can be among the k heaviest, which are then those of the
+    whole matrix, and above scans gram's blocks; both choose what
+    _DenseEntries would.  An entry is read in the row of its index that is
+    read first, at flat index row * 2**m + column.
+    """
+
+    # the bound is a pass over every entry
+    bound_first = False
+
     def heaviest(self, k: int, floor: float):
-        if self.anchor is not None:
-            return super().heaviest(k, floor)
         d = self.g.shape[0]
         s = np.linalg.norm(self.g, axis=1) * np.linalg.norm(self.h, axis=1)
         order = np.argsort(-s, kind="stable")
@@ -508,8 +531,6 @@ class _FactorEntries(_Entries):
         return flat, weight
 
     def above(self, floor: float):
-        if self.anchor is not None:
-            return super().above(floor)
         # only the heaviest entry of each coefficient row reaches
         # _pinning_equations' choice, so one slot per row of {-1, 0, 1}^m
         # keeps the scan's output below 3**m entries
@@ -535,26 +556,12 @@ class _FactorEntries(_Entries):
         return best_f[kept][by_flat], best_w[kept][by_flat]
 
     def bound(self) -> float:
-        """Frobenius norm of the entrywise modulus gap.
-
-        At rank 1 that is ||xx^T - yy^T||_F for x = |psi|, y = |phi| (real,
-        so no aligning phase); otherwise it is summed over gram's blocks.
-        """
-        if self.anchor is not None:
-            return projector_distance(self.x, self.y)
+        """Frobenius norm of the entrywise modulus gap, summed over gram's blocks."""
         total = 0.0
         for (rows, cols, p), (_, _, q) in zip(gram_blocks(self.g), gram_blocks(self.h)):
             diff = np.abs(p) - np.abs(q)
             total += (1.0 if rows == cols else 2.0) * float(np.vdot(diff, diff).real)
         return math.sqrt(total)
-
-    def values(self, flat: np.ndarray):
-        r, c = np.divmod(flat, 2**self.m)
-        return _row_products(self.g, r, c), _row_products(self.h, r, c)
-
-    def residual(self, w: np.ndarray) -> float:
-        """||H H^dag - (D G)(D G)^dag||_F, D the phase conjugation by w, acting on G's rows."""
-        return factor_distance(self.h, np.exp(-2j * (_bits(self.m) @ w))[:, None] * self.g)
 
 
 def phase_match(t: TraceForm, t_prime: TraceForm, tol: float) -> PhaseMatchResult:
@@ -582,7 +589,8 @@ def phase_match(t: TraceForm, t_prime: TraceForm, tol: float) -> PhaseMatchResul
        only when no branch matched.
 
     Two trace forms with factors and no mixed qubit are read from their
-    factors (_FactorEntries), row by row, with residuals from factor_distance;
+    factors, with residuals from factor_distance: two rank-1 factors from one
+    anchor row (_AnchorEntries), any other ranks row by row (_RowEntries);
     otherwise from the density matrices (_DenseEntries).  The residual is
     the Frobenius distance of the matrices reduced to the m non-mixed of n
     qubits, divided by 2^((n-m)/2): the distance of those reductions
@@ -600,7 +608,9 @@ def phase_match(t: TraceForm, t_prime: TraceForm, tol: float) -> PhaseMatchResul
     )
     m = int(active.sum())
     if m == n and t.state.factor is not None and t_prime.state.factor is not None:
-        entries = _FactorEntries(t.state.factor, t_prime.state.factor)
+        g, h = t.state.factor, t_prime.state.factor
+        rank_1 = g.shape[1] == h.shape[1] == 1
+        entries = (_AnchorEntries if rank_1 else _RowEntries)(g, h)
     else:
         entries = _DenseEntries(
             _trace_out(t.state.matrix, active), _trace_out(t_prime.state.matrix, active)

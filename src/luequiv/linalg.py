@@ -152,17 +152,6 @@ def hermitize(m: np.ndarray) -> tuple[np.ndarray, float]:
     return out, math.sqrt(skew)
 
 
-def _in_fixed_order(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """a and b in an order that depends only on their shapes and entries.
-
-    A distance computed on the pair in this order is the very same float
-    whichever way round its caller passes them.
-    """
-    if (b.shape, b.tobytes()) < (a.shape, a.tobytes()):
-        return b, a
-    return a, b
-
-
 def projector_distance(u: np.ndarray, v: np.ndarray) -> float:
     """Frobenius distance of the outer products u u^dag and v v^dag.
 
@@ -173,7 +162,6 @@ def projector_distance(u: np.ndarray, v: np.ndarray) -> float:
     difference, not from |u|^4 + |v|^4 - 2 |<u|v>|^2, which cancels below
     about 1e-8.
     """
-    u, v = _in_fixed_order(u, v)
     overlap = np.vdot(v, u)
     phase = overlap / abs(overlap) if overlap != 0 else 1.0
     w = phase * v
@@ -196,7 +184,6 @@ def factor_distance(g: np.ndarray, h: np.ndarray) -> float:
     """
     if g.shape[1] == h.shape[1] == 1:
         return projector_distance(g[:, 0], h[:, 0])
-    g, h = _in_fixed_order(g, h)
     r = np.linalg.qr(np.hstack([g, h]), mode="r")
     k = g.shape[1]
     return float(np.linalg.norm(r[:, :k] @ dagger(r[:, :k]) - r[:, k:] @ dagger(r[:, k:])))

@@ -150,13 +150,13 @@ def unpinned(n: int, seed: int) -> np.ndarray:
 @pytest.mark.parametrize("conjugate", [False, True])
 def test_unpinned_heavy_entries_scan_the_blocks(monkeypatch, n, conjugate):
     scans = []
-    above = luequiv.engine._FactorEntries.above
+    above = luequiv.engine._RowEntries.above
 
     def counting(self, floor):
         scans.append(floor)
         return above(self, floor)
 
-    monkeypatch.setattr(luequiv.engine._FactorEntries, "above", counting)
+    monkeypatch.setattr(luequiv.engine._RowEntries, "above", counting)
     rng = make_rng(6000 + n)
     ma = unpinned(n, 6100 + n)
     fac, _ = assert_same_decision(ma, rotated(ma.conj() if conjugate else ma, rng))

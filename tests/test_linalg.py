@@ -257,7 +257,7 @@ def test_factor_distance_matches_dense_frobenius(n, r, noise, seed):
     dense = np.linalg.norm(g @ g.conj().T - h @ h.conj().T)
     got = factor_distance(g, h)
     assert abs(got - dense) <= 1e-14
-    assert factor_distance(h, g) == pytest.approx(got, rel=1e-10, abs=1e-15)
+    assert abs(factor_distance(h, g) - dense) <= 1e-14
     if r == 1:
         assert got == projector_distance(g[:, 0], h[:, 0])
 
