@@ -9,6 +9,7 @@ nothing is read from the environment.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -152,6 +153,8 @@ def _pauli_label(flat: int, n: int) -> str:
 
 
 def _cmd_pauli(args) -> int:
+    if not (math.isfinite(args.threshold) and args.threshold >= 0):
+        raise CliError(f"--threshold must be finite and non-negative, got {args.threshold}")
     state, _ = _load(args.state)
     p = expand(state)
     entries = [
@@ -201,6 +204,8 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    if args.restarts < 1:
+        raise CliError(f"--restarts must be at least 1, got {args.restarts}")
     state_a, _ = _load(args.state_a)
     state_b, _ = _load(args.state_b)
     fit = lu_fit_oracle(state_a, state_b, restarts=args.restarts, seed=args.seed)

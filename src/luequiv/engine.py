@@ -35,10 +35,13 @@ Qubits with (near-)degenerate marginals admit a full SU(2) freedom instead of
 a phase.  Those instances come back Indeterminate unless the optional SU(2)
 fallback is enabled.  A partial trace over the mixed qubits commutes with
 their unitaries, so the phase solve on the other qubits' reductions is still
-a necessary condition: when it fails the verdict is Indeterminate at once,
-and when it matches, a seeded block coordinate descent over the mixed
-qubits' SU(2) factors looks for a witness; each of its steps is the exact
-best factor of one qubit, the top eigenvector of a 4x4 quaternion matrix.
+a necessary condition: when it fails the verdict is Indeterminate at once.
+When it matches, two qubits that are both mixed are first taken to a common
+Bell-diagonal form by the signed SVDs of their 3x3 correlation matrices,
+which gives a witness in closed form.  Otherwise, or when that witness
+misses tol, a seeded block coordinate descent over the mixed qubits' SU(2)
+factors looks for a witness; each of its steps is the exact best factor of
+one qubit, the top eigenvector of a 4x4 quaternion matrix.
 """
 
 from __future__ import annotations
@@ -60,6 +63,7 @@ from .linalg import (
     make_rng,
     projector_distance,
 )
+from .pauli import expand
 from .states import NQubitState, state_distance
 from .traceform import LocalEigenframe, TraceForm, local_eigenframes, to_trace_form
 
@@ -758,6 +762,22 @@ def assemble_witness(
 
 # E = (I, iX, iY, iZ): a unit real q gives sum_mu q_mu E_mu in SU(2)
 _QUATERNION = PAULIS * np.array([1.0, 1j, 1j, 1j])[:, None, None]
+# the linear map from W[m,j,i,l] to K + K^T, with
+# K_mu,nu = Re sum E_mu[j,i] conj(E_nu[m,l]) W[m,j,i,l]; the real part is
+# taken after the product
+_K_MAP = np.einsum("aji,bml->mjilab", _QUATERNION, _QUATERNION.conj()).reshape(16, 4, 4)
+_K_MAP = (_K_MAP + _K_MAP.transpose(0, 2, 1)).reshape(16, 16)
+
+
+def _su2(q: np.ndarray) -> np.ndarray:
+    """sum_mu q_mu E_mu, in SU(2) for a unit q."""
+    return (q @ _QUATERNION.reshape(4, 4)).reshape(2, 2)
+
+
+def _top_su2(w: np.ndarray) -> np.ndarray:
+    """The U in SU(2) maximizing q^T K q for the contraction w (see _best_su2_factor)."""
+    k = (w.reshape(16) @ _K_MAP).real.reshape(4, 4)
+    return _su2(np.linalg.eigh(k)[1][:, -1])
 
 
 def _best_su2_factor(target: np.ndarray, r: np.ndarray, k: int) -> np.ndarray:
@@ -767,14 +787,57 @@ def _best_su2_factor(target: np.ndarray, r: np.ndarray, k: int) -> np.ndarray:
     2 Re Tr(target U r U^dag), and with U = sum_mu q_mu E_mu that trace is the
     quadratic form q^T K q,  K_mu,nu = Re sum E_mu[j,i] conj(E_nu[m,l]) W[m,j,i,l]
     for W the contraction of target and r over every other qubit.  The best
-    unit q is the top eigenvector of K + K^T (Horn's quaternion solution).
+    unit q is the top eigenvector of K + K^T (Horn's quaternion solution),
+    which _K_MAP takes from W in one product.
     """
     left = 2**k
     six = (left, 2, r.shape[0] // (2 * left)) * 2
     w = np.tensordot(target.reshape(six), r.reshape(six), axes=([0, 2, 3, 5], [3, 5, 0, 2]))
-    kq = np.einsum("mjil,aji,bml->ab", w, _QUATERNION, _QUATERNION.conj()).real
-    q = np.linalg.eigh(kq + kq.T)[1][:, -1]
-    return np.tensordot(q, _QUATERNION, axes=1)
+    return _top_su2(w)
+
+
+def _su2_of_rotation(rot: np.ndarray) -> np.ndarray:
+    """A U in SU(2) (the other is -U) with U sigma_i U^dag = sum_j rot[j, i] sigma_j.
+
+    rot is in SO(3).  With tau_i = sum_j rot[j, i] sigma_j, the sum
+    sum_i Re Tr(tau_i U sigma_i U^dag) is 2 Tr(rot^T O) for O the rotation of
+    U, largest exactly at O = rot; as a quadratic form in q it has the W of
+    _best_su2_factor with W[m,j,i,l] = sum_i' tau_i'[m,j] sigma_i'[i,l], so
+    U is a top eigenvector again (Bar-Itzhack, J. Guid. Control Dyn. 23,
+    1085 (2000)).
+    """
+    return _top_su2(np.einsum("ji,jmn,ikl->mnkl", rot, PAULIS[1:], PAULIS[1:]))
+
+
+def _signed_svd_frames(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """P, Q in SO(3) with T = P diag(d) Q^T, the signed SVD: d_3 carries a reflection's sign."""
+    p, _, qt = np.linalg.svd(t)
+    q = qt.T
+    for m in (p, q):
+        if np.linalg.det(m) < 0:
+            m[:, 2] = -m[:, 2]
+    return p, q
+
+
+def _correlation_matrix(state: NQubitState) -> np.ndarray:
+    """The 3x3 block T_ij = Tr(rho sigma_i x sigma_j) of a two-qubit state."""
+    return 4.0 * expand(state).tensor()[1:, 1:]
+
+
+def _bell_diagonal_witness(a: NQubitState, b: NQubitState) -> list[np.ndarray]:
+    """Local unitaries taking T_a to P_b diag(d_a) Q_b^T, for a pair at n = 2.
+
+    Under U_1 x U_2 the correlation matrix goes to O_1 T O_2^T, so with the
+    signed SVDs T_a = P_a diag(d_a) Q_a^T and T_b = P_b diag(d_b) Q_b^T the
+    rotations O_1 = P_b P_a^T and O_2 = Q_b Q_a^T give the image
+    P_b diag(d_a) Q_b^T, at distance ||d_a - d_b|| from T_b however the
+    singular vectors are conditioned (Horodecki & Horodecki, PRA 54, 1838
+    (1996)).  The local Bloch vectors are rotated along; for maximally mixed
+    marginals they are zero.
+    """
+    pa, qa = _signed_svd_frames(_correlation_matrix(a))
+    pb, qb = _signed_svd_frames(_correlation_matrix(b))
+    return [_su2_of_rotation(pb @ pa.T), _su2_of_rotation(qb @ qa.T)]
 
 
 def su2_fallback(
@@ -790,16 +853,24 @@ def su2_fallback(
 
     It runs after phase_match matched the other qubits, so each of those keeps
     the fixed U_i = V'_i diag(e^{iw_i}, e^{-iw_i}) V_i^dag from phases, and
-    each mixed qubit k gets a free factor U_k in SU(2).  The witness residual
-    is minimized by multi-start block coordinate descent: one step replaces
-    U_k by the exact minimizer of ||rho_b - U_k R U_k^dag||_F, where R is a
-    with the fixed factors and the other mixed ones applied (_best_su2_factor).
-    Restart 0 starts every U_k at the identity, the others at random unit
-    quaternions drawn from FALLBACK_SEED.  Each sweep of steps ends with one
-    direct residual.
+    each mixed qubit k gets a free factor U_k in SU(2).  At n = 2 with both
+    qubits mixed, the closed form of _bell_diagonal_witness is tried first;
+    a witness within tol is returned with 0 evaluations, and one that misses
+    tol (noise near tol) is dropped for the search.  The search minimizes the
+    witness residual by multi-start block coordinate descent: one step
+    replaces U_k by the exact minimizer of ||rho_b - U_k R U_k^dag||_F, where
+    R is a with the fixed factors and the other mixed ones applied
+    (_best_su2_factor).  Restart 0 starts every U_k at the identity, the
+    others at random unit quaternions drawn from FALLBACK_SEED.  Each sweep
+    of steps ends with one direct residual.
     Returns the witness, None when no restart reaches tolerance, and the
     number of block steps plus residual evaluations.
     """
+    if a.n == 2 and len(mixed_qubits) == 2:
+        try:
+            return _finalize_witness(_bell_diagonal_witness(a, b), a, b, config.tol), 0
+        except EngineInconsistencyError:
+            pass  # noise near tol: the search below may still find a witness
     mixed = set(mixed_qubits)
     fixed = [
         None if f.qubit in mixed else _frame_unitary(f, g, _diag_phase(float(w)))
@@ -815,7 +886,7 @@ def su2_fallback(
         factors: list[np.ndarray | None] = [None] * a.n
         for k in positions:
             q = rng.normal(size=4) if start else np.array([1.0, 0.0, 0.0, 0.0])
-            factors[k] = np.tensordot(q / np.linalg.norm(q), _QUATERNION, axes=1)
+            factors[k] = _su2(q / np.linalg.norm(q))
         f = np.inf
         for _ in range(FALLBACK_SWEEPS):
             prev = f

@@ -163,12 +163,15 @@ def lu_fit_oracle(
     The returned residual is an upper bound on the true minimum; it never
     proves inequivalence on its own.  The first start is the identity, the
     rest are uniform random Euler angles.  When early_stop is set, restarts
-    end as soon as the best residual drops below it.
+    end as soon as the best residual drops below it.  restarts must be at
+    least 1, or no fit runs; anything less raises ValueError.
     """
     from scipy.optimize import minimize  # scipy costs more to import than the engine
 
     if a.n != b.n:
         raise ValueError(f"qubit counts differ: {a.n} vs {b.n}")
+    if restarts < 1:
+        raise ValueError(f"restarts must be at least 1, got {restarts}")
     n = a.n
     rng = make_rng(seed)
     evals = 0

@@ -251,6 +251,25 @@ def test_pauli_json(pair_files, capsys):
     assert len(doc["coefficients"]) <= 16
 
 
+@pytest.mark.parametrize("threshold", ["nan", "inf", "-inf", "-0.1"])
+def test_pauli_threshold_outside_the_finite_non_negatives_exit_three(pair_files, capsys, threshold):
+    # a NaN threshold would print "threshold": NaN, which is not JSON, and
+    # keep no coefficient; inf would keep none either
+    a, _ = pair_files
+    assert run_command(["pauli", str(a), "--threshold", threshold, "--json"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "--threshold" in captured.err
+
+
+def test_pauli_threshold_zero_keeps_every_nonzero_coefficient(pair_files, capsys):
+    a, _ = pair_files
+    assert run_command(["pauli", str(a), "--threshold", "0", "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["threshold"] == 0.0
+    assert doc["coefficients"]["II"] == pytest.approx(0.25)
+
+
 def test_trace_form_output(pair_files, capsys):
     a, _ = pair_files
     code = run_command(["trace-form", str(a)])
@@ -269,6 +288,16 @@ def test_oracle_command(pair_files, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "residual" in out
+
+
+@pytest.mark.parametrize("restarts", ["0", "-3"])
+def test_oracle_without_a_restart_exit_three(pair_files, capsys, restarts):
+    # no fit would run, and the identity's residual would be printed as the best
+    a, b = pair_files
+    assert run_command(["oracle", str(a), str(b), "--restarts", restarts]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "--restarts" in captured.err
 
 
 def test_console_script_entry_point(pair_files):

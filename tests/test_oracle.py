@@ -221,3 +221,11 @@ def test_oracle_reports_evaluations():
     state = random_pure_state(2, make_rng(47))
     fit = lu_fit_oracle(state, state, restarts=2, seed=1)
     assert fit.evaluations > 0
+
+
+@pytest.mark.parametrize("restarts", [0, -1])
+def test_oracle_rejects_fewer_than_one_restart(restarts):
+    # with no restart no fit runs, and the identity's residual is no fit result
+    state = random_pure_state(2, make_rng(48))
+    with pytest.raises(ValueError, match="restarts"):
+        lu_fit_oracle(state, state, restarts=restarts)
