@@ -12,11 +12,13 @@ times by each package in turn, A then B on even repeats and B then A on odd
 ones, so that drift hits both alike.
 
 Printed: verdict parity (outcome and reason) on every instance, how many
-verdicts of each side pass truth.verdict_ok, the largest entry difference of
-the two witnesses, and per-instance median time ratios B/A with their
-quartiles.  The last line of standard output is one JSON object.  The exit
-code is 0 when every instance has the same outcome and reason on both sides
-and B passes the check wherever A does, else 1.
+verdicts of each side pass truth.verdict_ok, how many instances have the
+same diagnostics["fallback_evaluations"] on both sides (absent counts as
+None), the largest entry difference of the two witnesses, and per-instance
+median time ratios B/A with their quartiles.  The last line of standard
+output is one JSON object.  The exit code is 0 when every instance has the
+same outcome and reason on both sides and B passes the check wherever A
+does, else 1; the evaluation counts only report.
 """
 
 from __future__ import annotations
@@ -116,6 +118,9 @@ def compare(lu_a, lu_b, instances) -> dict:
                 "b": (vb.outcome, vb.reason),
                 "ok_a": check(inst, va, states[0][i]),
                 "ok_b": check(inst, vb, states[1][i]),
+                "evaluations": tuple(
+                    v.diagnostics.get("fallback_evaluations") for v in (va, vb)
+                ),
                 "witness_diff": witness_difference(va, vb),
                 "ratio": statistics.median(times[1][i]) / statistics.median(times[0][i]),
             }
@@ -132,6 +137,7 @@ def summarize(records) -> dict:
         "check_a": sum(r["ok_a"] for r in records),
         "check_b": sum(r["ok_b"] for r in records),
         "check_lost": sum(r["ok_a"] and not r["ok_b"] for r in records),
+        "same_evaluations": sum(len(set(r["evaluations"])) == 1 for r in records),
         "witness_pairs": len(diffs),
         "witness_max_diff": max(diffs, default=0.0),
         "witness_over": sum(d > WITNESS_REPORT for d in diffs),
@@ -160,10 +166,14 @@ def main(argv=None) -> int:
             print(f"{i} {r['label']}: A {r['a']} check {r['ok_a']}, B {r['b']} check {r['ok_b']}")
         elif r["witness_diff"] is not None and r["witness_diff"] > WITNESS_REPORT:
             print(f"{i} {r['label']}: witnesses differ by {r['witness_diff']:.3e}")
+        if len(set(r["evaluations"])) != 1:
+            ea, eb = r["evaluations"]
+            print(f"{i} {r['label']}: fallback evaluations A {ea}, B {eb}")
     s = summary
     print(f"{args.workload} seed {args.seed}: {s['instances']} instances, {REPEATS} repeats")
     print(f"same outcome and reason: {s['same_verdict']}/{s['instances']}")
     print(f"truth.verdict_ok: A {s['check_a']}, B {s['check_b']}, lost by B {s['check_lost']}")
+    print(f"same fallback evaluations: {s['same_evaluations']}/{s['instances']}")
     print(
         f"witnesses: {s['witness_pairs']} pairs, largest difference {s['witness_max_diff']:.3e}, "
         f"{s['witness_over']} above {WITNESS_REPORT:.0e}"

@@ -21,8 +21,10 @@ decision between two factors of rank r forms no 2**n x 2**n array.  Two
 rank-1 factors (pure states) cost O(n 2**n) throughout.  The witness
 residual is taken against (U G)(U G)^dag: for two rank-1 factors as
 vectors, otherwise against the other input's matrix, block by block.  A
-mixed qubit is traced out of the matrices, and the SU(2) fallback works on
-the density matrices.
+mixed qubit is traced out of the factors, by moving its axis into their
+columns, and the SU(2) fallback rotates G and contracts its block steps
+from the two factors, so a decision between two factor states with mixed
+qubits forms no 2**n x 2**n array either.
 
 A factor's error e = ||rho - G G^dag||_F is carried into the verdict: with
 eps = e_a + e_b, every distance taken on the factors is within eps of the
@@ -329,6 +331,27 @@ def _trace_out(m: np.ndarray, keep: np.ndarray) -> np.ndarray:
     return m
 
 
+def _reduced_factor(g: np.ndarray, active: np.ndarray) -> np.ndarray:
+    """A factor of the partial trace of G G^dag over every qubit not flagged in active.
+
+    The traced qubits' axes move into the columns, after the active ones in
+    the rows: the result is 2**m x 2**(n-m) r, and its Gram matrix is the
+    reduction exactly.  With every qubit active it is G.
+    """
+    if active.all():
+        return g
+    n = active.size
+    order = [*np.flatnonzero(active), *np.flatnonzero(~active), n]
+    return g.reshape((2,) * n + (-1,)).transpose(order).reshape(2 ** int(active.sum()), -1)
+
+
+def _trace(state: NQubitState) -> float:
+    """Tr rho: ||G||_F^2 for a factor, else the matrix's diagonal sum."""
+    if state.factor is not None:
+        return float(np.vdot(state.factor, state.factor).real)
+    return float(np.trace(state.matrix).real)
+
+
 def _entry_rows(flat: np.ndarray, m: int) -> np.ndarray:
     """Bit-string differences c - r of the entries at flat indices r * 2**m + c."""
     r, c = np.divmod(flat, 2**m)
@@ -592,17 +615,20 @@ def phase_match(t: TraceForm, t_prime: TraceForm, tol: float) -> PhaseMatchResul
        no more than the entries read there (bound_first), and otherwise
        only when no branch matched.
 
-    Two trace forms with factors and no mixed qubit are read from their
-    factors, with residuals from factor_distance: two rank-1 factors from one
-    anchor row (_AnchorEntries), any other ranks row by row (_RowEntries);
-    otherwise from the density matrices (_DenseEntries).  The residual is
-    the Frobenius distance of the matrices reduced to the m non-mixed of n
-    qubits, divided by 2^((n-m)/2): the distance of those reductions
-    tensored with the maximally mixed state.  The trace forms' factor
-    errors, eps in total, move that residual by at most eps, so the modulus
-    bound and the branch scores drop by eps before they reject, and a
-    matched residual is reported with eps added.  A no_solution residual is
-    the smallest such lower bound, floored at 0.
+    Two trace forms with factors are read from their reduced factors
+    (_reduced_factor), with residuals from factor_distance: two single
+    columns, which only rank-1 factors with no mixed qubit give, from one
+    anchor row (_AnchorEntries), any others row by row (_RowEntries); a
+    dense-only trace form from the reduced density matrices (_DenseEntries).
+    The residual is the Frobenius distance of the matrices reduced to the m
+    non-mixed of n qubits, divided by 2^((n-m)/2): the distance of those
+    reductions tensored with the maximally mixed state.  At m = 0 nothing
+    is left to solve: the reductions are the traces, and their difference
+    decides with no entries read.  The trace forms' factor errors, eps in
+    total, move that residual by at most eps, so the modulus bound and the
+    branch scores drop by eps before they reject, and a matched residual is
+    reported with eps added.  A no_solution residual is the smallest such
+    lower bound, floored at 0.
     """
     n = t.state.n
     if n != t_prime.state.n:
@@ -611,18 +637,28 @@ def phase_match(t: TraceForm, t_prime: TraceForm, tol: float) -> PhaseMatchResul
         [not (f.maximally_mixed or g.maximally_mixed) for f, g in zip(t.frames, t_prime.frames)]
     )
     m = int(active.sum())
-    if m == n and t.state.factor is not None and t_prime.state.factor is not None:
-        g, h = t.state.factor, t_prime.state.factor
-        rank_1 = g.shape[1] == h.shape[1] == 1
-        entries = (_AnchorEntries if rank_1 else _RowEntries)(g, h)
-    else:
-        entries = _DenseEntries(
-            _trace_out(t.state.matrix, active), _trace_out(t_prime.state.matrix, active)
-        )
     scale = 2.0 ** ((n - m) / 2.0)
     tol_r = tol * scale
     # a partial trace over n - m qubits grows a Frobenius norm at most by scale
     eps_r = (t.state.factor_error + t_prime.state.factor_error) * scale
+    if m == 0:
+        # the one branch has no angles, and its residual is the modulus bound
+        gap = abs(_trace(t.state) - _trace(t_prime.state))
+        if gap + eps_r <= tol_r:
+            omegas = np.zeros(n)
+            omegas.flags.writeable = False
+            return PhaseMatchResult(MATCHED, PhaseAssignment(omegas), (gap + eps_r) / scale, 1)
+        low = max(gap - eps_r, 0.0)
+        return PhaseMatchResult(NO_SOLUTION, None, low / scale, 0 if low > tol_r else 1)
+
+    if t.state.factor is not None and t_prime.state.factor is not None:
+        g = _reduced_factor(t.state.factor, active)
+        h = _reduced_factor(t_prime.state.factor, active)
+        entries = (_AnchorEntries if g.shape[1] == h.shape[1] == 1 else _RowEntries)(g, h)
+    else:
+        entries = _DenseEntries(
+            _trace_out(t.state.matrix, active), _trace_out(t_prime.state.matrix, active)
+        )
 
     # the modulus bound only decides where no branch matches, so a bound
     # that reads every entry is left until then
@@ -796,6 +832,54 @@ def _best_su2_factor(target: np.ndarray, r: np.ndarray, k: int) -> np.ndarray:
     return _top_su2(w)
 
 
+def _best_su2_on_factors(h: np.ndarray, phi: np.ndarray, k: int) -> np.ndarray:
+    """_best_su2_factor for target = H H^dag and r = Phi Phi^dag, read from the factors.
+
+    With A[m,s,l,t] = sum_{a,b} H[a,m,b,s] conj(Phi[a,l,b,t]), the sum over
+    the qubits other than k, the contraction is
+    W[m,j,i,l] = sum_{s,t} A[m,s,l,t] conj(A[j,s,i,t]): O(2**n r r') work
+    and no 2**n x 2**n array.
+    """
+    left = 2**k
+    a = np.tensordot(
+        h.reshape(left, 2, -1, h.shape[1]),
+        np.conj(phi.reshape(left, 2, -1, phi.shape[1])),
+        axes=([0, 2], [0, 2]),
+    )
+    return _top_su2(np.tensordot(a, np.conj(a), axes=([1, 3], [1, 3])).transpose(0, 2, 3, 1))
+
+
+def _on_qubit(u: np.ndarray, x: np.ndarray, k: int) -> np.ndarray:
+    """u applied to qubit k (0-based) of the rows of x."""
+    return np.matmul(u, x.reshape(2**k, 2, -1)).reshape(x.shape)
+
+
+def _factor_sweep(h, g_fixed, phi, factors, positions) -> tuple[np.ndarray, float]:
+    """One sweep of block steps on phi = (x factors) g_fixed, the factor of R.
+
+    Each step takes U_k off qubit k of phi, replaces it by the best factor
+    (_best_su2_on_factors) and puts it back.  The sweep ends with phi
+    rebuilt from g_fixed, so rounding drift spans at most one sweep, and
+    returns it with its squared residual.
+    """
+    for k in positions:
+        phi = _on_qubit(dagger(factors[k]), phi, k)
+        factors[k] = _best_su2_on_factors(h, phi, k)
+        phi = _on_qubit(factors[k], phi, k)
+    phi = apply_local(g_fixed, factors)
+    return phi, factor_distance(h, phi) ** 2
+
+
+def _matrix_sweep(target, a_fixed, factors, positions) -> float:
+    """One sweep of block steps on the matrix a_fixed; returns the squared residual."""
+    for k in positions:
+        others = list(factors)
+        others[k] = None
+        factors[k] = _best_su2_factor(target, conjugate_local(a_fixed, others), k)
+    # the analytic optimum cancels near tol^2: measure the residual
+    return float(np.sum(np.abs(target - conjugate_local(a_fixed, factors)) ** 2))
+
+
 def _su2_of_rotation(rot: np.ndarray) -> np.ndarray:
     """A U in SU(2) (the other is -U) with U sigma_i U^dag = sum_j rot[j, i] sigma_j.
 
@@ -859,10 +943,13 @@ def su2_fallback(
     tol (noise near tol) is dropped for the search.  The search minimizes the
     witness residual by multi-start block coordinate descent: one step
     replaces U_k by the exact minimizer of ||rho_b - U_k R U_k^dag||_F, where
-    R is a with the fixed factors and the other mixed ones applied
-    (_best_su2_factor).  Restart 0 starts every U_k at the identity, the
-    others at random unit quaternions drawn from FALLBACK_SEED.  Each sweep
-    of steps ends with one direct residual.
+    R is a with the fixed factors and the other mixed ones applied.  Two
+    states with factors G_a, G_b run it on them (_factor_sweep): R's factor
+    is the rotated phi = (U_fixed x U_mixed) G_a, and each sweep's residual
+    is factor_distance(G_b, phi)^2, so no 2**n x 2**n array is formed.
+    Otherwise it runs on the matrices (_matrix_sweep).  Restart 0 starts
+    every U_k at the identity, the others at random unit quaternions drawn
+    from FALLBACK_SEED.  Each sweep of steps ends with one direct residual.
     Returns the witness, None when no restart reaches tolerance, and the
     number of block steps plus residual evaluations.
     """
@@ -876,26 +963,31 @@ def su2_fallback(
         None if f.qubit in mixed else _frame_unitary(f, g, _diag_phase(float(w)))
         for f, g, w in zip(ta.frames, tb.frames, phases.omegas)
     ]
-    a_fixed = conjugate_local(a.matrix, fixed)
+    on_factors = a.factor is not None and b.factor is not None
+    if on_factors:
+        g_fixed = apply_local(a.factor, fixed)
+    else:
+        a_fixed = conjugate_local(a.matrix, fixed)
     positions = [k for k, u in enumerate(fixed) if u is None]
     evaluations = 0
-    rng = make_rng(FALLBACK_SEED)
+    rng = None  # restart 0 draws nothing
     tol_sq = config.tol**2
 
     for start in range(config.fallback_restarts):
+        if start == 1:
+            rng = make_rng(FALLBACK_SEED)
         factors: list[np.ndarray | None] = [None] * a.n
         for k in positions:
             q = rng.normal(size=4) if start else np.array([1.0, 0.0, 0.0, 0.0])
             factors[k] = _su2(q / np.linalg.norm(q))
+        phi = apply_local(g_fixed, factors) if on_factors else None
         f = np.inf
         for _ in range(FALLBACK_SWEEPS):
             prev = f
-            for k in positions:
-                others = list(factors)
-                others[k] = None
-                factors[k] = _best_su2_factor(b.matrix, conjugate_local(a_fixed, others), k)
-            # the analytic optimum cancels near tol^2: measure the residual
-            f = float(np.sum(np.abs(b.matrix - conjugate_local(a_fixed, factors)) ** 2))
+            if on_factors:
+                phi, f = _factor_sweep(b.factor, g_fixed, phi, factors, positions)
+            else:
+                f = _matrix_sweep(b.matrix, a_fixed, factors, positions)
             evaluations += len(positions) + 1
             if f <= tol_sq * 0.01:
                 break

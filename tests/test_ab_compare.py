@@ -16,6 +16,7 @@ def test_ab_compare_checkout_against_itself():
     report = json.loads(done.stdout.splitlines()[-1])
     assert report["same_verdict"] == report["instances"] == 5
     assert report["check_a"] == report["check_b"] == 5 and report["check_lost"] == 0
+    assert report["same_evaluations"] == 5
     # the same source decides the same way, witness for witness
     assert report["witness_pairs"] == 2 and report["witness_max_diff"] == 0.0
     assert report["time_ratio_p25"] <= report["time_ratio_p50"] <= report["time_ratio_p75"]

@@ -16,9 +16,11 @@ import pytest
 import luequiv.engine
 import luequiv.traceform
 from luequiv import (
+    EngineConfig,
     StateValidationError,
     apply_local_unitaries,
     decide_lu_equivalence,
+    from_pure_amplitudes,
     haar_local_unitary,
     make_rng,
     preflight_invariants,
@@ -27,10 +29,10 @@ from luequiv import (
     to_trace_form,
     validate_state,
 )
-from luequiv.engine import EQUIVALENT
+from luequiv.engine import EQUIVALENT, MATCHED, phase_match
 from luequiv.linalg import conjugate_local, kron_all
 from luequiv.states import FACTOR_TOL, R_MAX
-from tests.conftest import dense_only, direct_residual
+from tests.conftest import bell_state, dense_only, direct_residual, ghz_state
 from tests.test_acceptance import generic_state, phase_diag
 
 # ------------------------------------------------- the gate's mixed pairs
@@ -242,3 +244,78 @@ def test_rank_two_decision_at_nine_qubits_conjugates_no_matrix(monkeypatch):
     assert verdict.witness.residual <= 1e-9
     form = to_trace_form(a)
     assert form.state.rank == 2 and form.state.factor_error == a.factor_error
+
+
+# ------------------------------------------ degenerate marginals on factors
+
+
+def one_mixed_rank_two(rng) -> np.ndarray:
+    """(|0><0| x A + |1><1| x B) / 2 for two pure 3-qubit states: qubit 1 alone is mixed."""
+    a, b = (random_pure_state(3, rng).amplitudes for _ in range(2))
+    g = np.stack([np.kron([1, 0], a), np.kron([0, 1], b)], axis=1) / np.sqrt(2.0)
+    return g @ g.conj().T
+
+
+def degenerate_pairs():
+    rng = make_rng(71)
+    bell_psi = np.kron(bell_state().amplitudes, random_pure_state(1, rng).amplitudes)
+    for name, state in [
+        ("ghz3", ghz_state(3)),
+        ("ghz4", ghz_state(4)),
+        ("bell_psi", from_pure_amplitudes(bell_psi)),
+        ("rank2_one_mixed", validate_state(one_mixed_rank_two(rng))),
+    ]:
+        rotated = apply_local_unitaries(state, [haar_local_unitary(rng) for _ in range(state.n)])
+        yield name, state, rotated
+
+
+@pytest.mark.parametrize("name,state,rotated", list(degenerate_pairs()))
+def test_factor_fallback_matches_dense_fallback(monkeypatch, name, state, rotated):
+    assert state.factor is not None and rotated.factor is not None
+    config = EngineConfig(fallback=True)
+    calls = []
+
+    def counting(m, factors):
+        calls.append(m.shape)
+        return conjugate_local(m, factors)
+
+    monkeypatch.setattr(luequiv.engine, "conjugate_local", counting)
+    monkeypatch.setattr(luequiv.traceform, "conjugate_local", counting)
+    on_factors = decide_lu_equivalence(state, rotated, config)
+    # the search, the phase solve and the trace form all ran on the factors
+    assert calls == []
+    dense = dense_only(state.matrix), dense_only(rotated.matrix)
+    on_matrices = decide_lu_equivalence(*dense, config)
+    assert calls
+    assert on_factors.outcome == on_matrices.outcome == EQUIVALENT
+    assert on_factors.reason == on_matrices.reason
+    assert on_factors.mixed_qubits == on_matrices.mixed_qubits != ()
+    evaluations = on_factors.diagnostics["fallback_evaluations"]
+    assert evaluations == on_matrices.diagnostics["fallback_evaluations"] > 0
+    for u, v in zip(on_factors.witness.unitaries, on_matrices.witness.unitaries):
+        assert np.max(np.abs(u - v)) <= 1e-12
+    assert direct_residual(state, rotated, on_factors.witness.unitaries) <= 1e-9
+
+
+@pytest.mark.parametrize("dense", [False, True])
+def test_all_mixed_phase_match_reads_no_entries(monkeypatch, dense):
+    def refuse(*args):
+        raise AssertionError("an entries class was built")
+
+    for name in ("_DenseEntries", "_AnchorEntries", "_RowEntries"):
+        monkeypatch.setattr(luequiv.engine, name, refuse)
+    rng = make_rng(73)
+    state = ghz_state(3)
+    rotated = apply_local_unitaries(state, [haar_local_unitary(rng) for _ in range(3)])
+    if dense:
+        state, rotated = dense_only(state.matrix), dense_only(rotated.matrix)
+    ta, tb = to_trace_form(state), to_trace_form(rotated)
+    assert all(f.maximally_mixed for f in ta.frames + tb.frames)
+    result = phase_match(ta, tb, 1e-9)
+    assert result.status == MATCHED and result.branches == 1 and result.min_modulus is None
+    assert not result.assignment.omegas.any()
+    if dense:
+        traces = [np.trace(t.state.matrix).real for t in (ta, tb)]
+    else:
+        traces = [np.vdot(t.state.factor, t.state.factor).real for t in (ta, tb)]
+    assert result.residual == abs(traces[0] - traces[1]) / 2**1.5

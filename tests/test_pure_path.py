@@ -11,10 +11,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import luequiv.engine
 import luequiv.traceform
 from luequiv import (
     EngineConfig,
-    StateValidationError,
+    NQubitState,
     apply_local_unitaries,
     decide_lu_equivalence,
     from_pure_amplitudes,
@@ -26,7 +27,7 @@ from luequiv import (
 )
 from luequiv.cli import run_command
 from luequiv.engine import BY_TRACE_FORM, EQUIVALENT, INDETERMINATE, phase_match
-from luequiv.linalg import kron_all
+from luequiv.linalg import apply_local, conjugate_local, kron_all
 from tests.conftest import dense_only, direct_residual, kron_chain
 from tests.test_acceptance import generic_state, phase_diag, sparse_support_state
 
@@ -205,19 +206,27 @@ def ghz_amplitudes(n: int) -> np.ndarray:
     return amp
 
 
-def test_twelve_qubit_fallback_needs_the_matrix_and_refuses():
+def test_twelve_qubit_fallback_certifies_on_the_amplitudes():
     # every GHZ marginal is maximally mixed; without the fallback the
-    # verdict needs no matrix, with it the search would need 4096 x 4096
+    # verdict is indeterminate, with it the search runs on the vectors and
+    # never needs the 4096 x 4096 matrix
+    rng = make_rng(53)
     ghz = from_pure_amplitudes(ghz_amplitudes(12))
-    assert decide_lu_equivalence(ghz, ghz).outcome == INDETERMINATE
+    us = [haar_local_unitary(rng) for _ in range(12)]
+    rotated = from_pure_amplitudes(apply_local(ghz.amplitudes, us))
+    assert decide_lu_equivalence(ghz, rotated).outcome == INDETERMINATE
     tracemalloc.start()
     try:
-        with pytest.raises(StateValidationError):
-            decide_lu_equivalence(ghz, ghz, EngineConfig(fallback=True))
+        verdict = decide_lu_equivalence(ghz, rotated, EngineConfig(fallback=True))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 2 ** 22
+    assert verdict.outcome == EQUIVALENT
+    image = apply_local(ghz.amplitudes, verdict.witness.unitaries)
+    overlap = np.vdot(image, rotated.amplitudes)
+    # the vector residual after the global phase bounds the projectors' one
+    assert np.linalg.norm(rotated.amplitudes - overlap / abs(overlap) * image) <= 1e-9
 
 
 def test_cli_refuses_dense_work_above_ten_qubits(tmp_path, capsys):
@@ -225,11 +234,49 @@ def test_cli_refuses_dense_work_above_ten_qubits(tmp_path, capsys):
     pairs = [[float(z.real), float(z.imag)] for z in ghz_amplitudes(12)]
     path.write_text('{"n": 12, "kind": "pure", "amplitudes": ' + str(pairs) + "}")
     assert run_command(["check", str(path), str(path)]) == 2
-    for argv in (["check", str(path), str(path), "--fallback"], ["trace-form", str(path)],
-                 ["pauli", str(path)]):
+    # the fallback runs on the amplitudes, so only the dense commands refuse
+    assert run_command(["check", str(path), str(path), "--fallback"]) == 0
+    for argv in (["trace-form", str(path)], ["pauli", str(path)]):
         capsys.readouterr()
         assert run_command(argv) == 3
         assert "exceeds the cap" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n", [11, 14])
+def test_ghz_fallback_certifies_above_the_matrix_cap(n):
+    rng = make_rng(60 + n)
+    ghz = from_pure_amplitudes(ghz_amplitudes(n))
+    rotated = apply_local_unitaries(ghz, [haar_local_unitary(rng) for _ in range(n)])
+    verdict = decide_lu_equivalence(ghz, rotated, EngineConfig(fallback=True))
+    assert verdict.outcome == EQUIVALENT and len(verdict.mixed_qubits) == n
+    image = apply_local(ghz.amplitudes, verdict.witness.unitaries)
+    assert abs(abs(np.vdot(image, rotated.amplitudes)) - 1.0) <= 1e-12
+    assert verdict.witness.residual <= 1e-9
+
+
+def test_ghz8_fallback_reads_no_matrix(monkeypatch):
+    calls = []
+
+    def counting(name, original):
+        def wrapper(*args):
+            calls.append(name)
+            return original(*args)
+
+        return wrapper
+
+    for module in (luequiv.engine, luequiv.traceform):
+        monkeypatch.setattr(module, "conjugate_local", counting("conjugate", conjugate_local))
+    trace_out = counting("_trace_out", luequiv.engine._trace_out)
+    monkeypatch.setattr(luequiv.engine, "_trace_out", trace_out)
+    matrix = property(counting("matrix", NQubitState.matrix.fget))
+    monkeypatch.setattr(NQubitState, "matrix", matrix)
+    rng = make_rng(67)
+    ghz = from_pure_amplitudes(ghz_amplitudes(8))
+    rotated = apply_local_unitaries(ghz, [haar_local_unitary(rng) for _ in range(8)])
+    verdict = decide_lu_equivalence(ghz, rotated, EngineConfig(fallback=True))
+    assert verdict.outcome == EQUIVALENT
+    assert verdict.diagnostics["fallback_evaluations"] > 0
+    assert calls == []
 
 
 def test_fallback_solves_each_ghz_factor_in_one_step():
