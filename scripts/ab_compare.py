@@ -15,10 +15,11 @@ Printed: verdict parity (outcome and reason) on every instance, how many
 verdicts of each side pass truth.verdict_ok, how many instances have the
 same diagnostics["fallback_evaluations"] on both sides (absent counts as
 None), the largest entry difference of the two witnesses, and per-instance
-median time ratios B/A with their quartiles.  The last line of standard
-output is one JSON object.  The exit code is 0 when every instance has the
-same outcome and reason on both sides and B passes the check wherever A
-does, else 1; the evaluation counts only report.
+median time ratios B/A with their quartiles, then the median of those
+ratios per instance label (ratio_by_label), one line per label.  The last
+line of standard output is one JSON object.  The exit code is 0 when every
+instance has the same outcome and reason on both sides and B passes the
+check wherever A does, else 1; the evaluation counts only report.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ import json  # noqa: E402
 import statistics  # noqa: E402
 import sys  # noqa: E402
 import time  # noqa: E402
+from collections import Counter  # noqa: E402
 from pathlib import Path  # noqa: E402
 
 import numpy as np  # noqa: E402
@@ -131,6 +133,9 @@ def compare(lu_a, lu_b, instances) -> dict:
 def summarize(records) -> dict:
     diffs = [r["witness_diff"] for r in records if r["witness_diff"] is not None]
     q1, q2, q3 = np.percentile([r["ratio"] for r in records], [25, 50, 75])
+    by_label: dict[str, list[float]] = {}
+    for r in records:
+        by_label.setdefault(r["label"], []).append(r["ratio"])
     return {
         "instances": len(records),
         "same_verdict": sum(r["a"] == r["b"] for r in records),
@@ -144,6 +149,7 @@ def summarize(records) -> dict:
         "time_ratio_p25": float(q1),
         "time_ratio_p50": float(q2),
         "time_ratio_p75": float(q3),
+        "ratio_by_label": {label: statistics.median(v) for label, v in by_label.items()},
     }
 
 
@@ -182,6 +188,9 @@ def main(argv=None) -> int:
         f"time B/A per instance: median {s['time_ratio_p50']:.3f} "
         f"(quartiles {s['time_ratio_p25']:.3f}-{s['time_ratio_p75']:.3f})"
     )
+    counts = Counter(r["label"] for r in records)
+    for label, ratio in s["ratio_by_label"].items():
+        print(f"time B/A {label}: median {ratio:.3f} over {counts[label]} instances")
     print(json.dumps(summary))
     return 0 if s["same_verdict"] == s["instances"] and s["check_lost"] == 0 else 1
 

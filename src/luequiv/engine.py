@@ -43,7 +43,8 @@ Bell-diagonal form by the signed SVDs of their 3x3 correlation matrices,
 which gives a witness in closed form.  Otherwise, or when that witness
 misses tol, a seeded block coordinate descent over the mixed qubits' SU(2)
 factors looks for a witness; each of its steps is the exact best factor of
-one qubit, the top eigenvector of a 4x4 quaternion matrix.
+one qubit, the top eigenvector of a 4x4 quaternion matrix.  Between two pure
+states that matrix has rank 2, and the step is taken in closed form.
 """
 
 from __future__ import annotations
@@ -65,7 +66,6 @@ from .linalg import (
     make_rng,
     projector_distance,
 )
-from .pauli import expand
 from .states import NQubitState, state_distance
 from .traceform import LocalEigenframe, TraceForm, local_eigenframes, to_trace_form
 
@@ -759,7 +759,11 @@ def _witness_residual(us, original: NQubitState, original_prime: NQubitState) ->
 def _finalize_witness(
     unitaries, original: NQubitState, original_prime: NQubitState, tol: float
 ) -> WitnessLU:
-    us = tuple(normalize_special(np.asarray(u, dtype=complex)) for u in unitaries)
+    # a None unitary is the identity
+    us = tuple(
+        normalize_special(np.eye(2, dtype=complex) if u is None else np.asarray(u, dtype=complex))
+        for u in unitaries
+    )
     residual = _witness_residual(us, original, original_prime)
     if residual > tol:
         raise EngineInconsistencyError(
@@ -805,15 +809,56 @@ _K_MAP = np.einsum("aji,bml->mjilab", _QUATERNION, _QUATERNION.conj()).reshape(1
 _K_MAP = (_K_MAP + _K_MAP.transpose(0, 2, 1)).reshape(16, 16)
 
 
-def _su2(q: np.ndarray) -> np.ndarray:
-    """sum_mu q_mu E_mu, in SU(2) for a unit q."""
-    return (q @ _QUATERNION.reshape(4, 4)).reshape(2, 2)
+# row mu holds conj(E_mu) flattened: c = _C_MAP @ a.ravel() has
+# c_mu = sum conj(E_mu[m,l]) a[m,l]
+_C_MAP = _QUATERNION.conj().reshape(4, 4)
+
+
+def _su2(q) -> np.ndarray:
+    """sum_mu q_mu E_mu, in SU(2) for a unit q, written out entry by entry."""
+    q0, q1, q2, q3 = q
+    return np.array([[complex(q0, q3), complex(q2, q1)], [complex(-q2, q1), complex(q0, -q3)]])
 
 
 def _top_su2(w: np.ndarray) -> np.ndarray:
     """The U in SU(2) maximizing q^T K q for the contraction w (see _best_su2_factor)."""
     k = (w.reshape(16) @ _K_MAP).real.reshape(4, 4)
     return _su2(np.linalg.eigh(k)[1][:, -1])
+
+
+def _top_su2_rank1(a: np.ndarray, current: np.ndarray | None) -> np.ndarray | None:
+    """_top_su2 for the contraction W[m,j,i,l] = a[m,l] conj(a[j,i]) of two single columns.
+
+    With c_mu = sum conj(E_mu[m,l]) a[m,l] = x + i y, K = Re(conj(c) c^T) =
+    x x^T + y y^T has rank 2, and q^T K q = (q.x)^2 + (q.y)^2.  Its top
+    eigenvector is v_0 x + v_1 y for (v_0, v_1) the top eigenvector of the
+    Gram matrix [[x.x, x.y], [x.y, y.y]], taken on Python scalars as
+    linalg._eig_2x2 does: of the two forms [lo - y.y, x.y] and
+    [x.y, lo - x.x], the one with the larger difference from lo, which is
+    |x.x - y.y| / 2 + sqrt(((x.x - y.y) / 2)^2 + (x.y)^2) and has no
+    cancellation.  A Gram matrix that is a multiple of the identity takes
+    q = x.  When c = 0 every U is equally good, and current (None is the
+    identity) is kept.
+    """
+    c = (_C_MAP @ a.reshape(4)).tolist()
+    p = r = s = 0.0
+    for z in c:
+        p += z.real * z.real
+        r += z.imag * z.imag
+        s += z.real * z.imag
+    half = 0.5 * (p - r)
+    root = math.hypot(half, s)
+    if root == 0.0:
+        v0, v1 = 1.0, 0.0
+    elif half >= 0.0:
+        v0, v1 = half + root, s
+    else:
+        v0, v1 = s, root - half
+    q = [v0 * z.real + v1 * z.imag for z in c]
+    norm = math.sqrt(sum(t * t for t in q))
+    if norm == 0.0:
+        return current
+    return _su2([t / norm for t in q])
 
 
 def _best_su2_factor(target: np.ndarray, r: np.ndarray, k: int) -> np.ndarray:
@@ -832,15 +877,22 @@ def _best_su2_factor(target: np.ndarray, r: np.ndarray, k: int) -> np.ndarray:
     return _top_su2(w)
 
 
-def _best_su2_on_factors(h: np.ndarray, phi: np.ndarray, k: int) -> np.ndarray:
+def _best_su2_on_factors(
+    h: np.ndarray, phi: np.ndarray, k: int, current: np.ndarray | None
+) -> np.ndarray | None:
     """_best_su2_factor for target = H H^dag and r = Phi Phi^dag, read from the factors.
 
     With A[m,s,l,t] = sum_{a,b} H[a,m,b,s] conj(Phi[a,l,b,t]), the sum over
     the qubits other than k, the contraction is
     W[m,j,i,l] = sum_{s,t} A[m,s,l,t] conj(A[j,s,i,t]): O(2**n r r') work
-    and no 2**n x 2**n array.
+    and no 2**n x 2**n array.  Two single columns (pure states) give a 2x2 A
+    and the closed form _top_su2_rank1, which keeps current when every U is
+    equally good; any other ranks take _top_su2 of the whole contraction.
     """
     left = 2**k
+    if h.shape[1] == phi.shape[1] == 1:
+        a = np.einsum("aib,ajb->ij", h.reshape(left, 2, -1), np.conj(phi.reshape(left, 2, -1)))
+        return _top_su2_rank1(a, current)
     a = np.tensordot(
         h.reshape(left, 2, -1, h.shape[1]),
         np.conj(phi.reshape(left, 2, -1, phi.shape[1])),
@@ -858,14 +910,18 @@ def _factor_sweep(h, g_fixed, phi, factors, positions) -> tuple[np.ndarray, floa
     """One sweep of block steps on phi = (x factors) g_fixed, the factor of R.
 
     Each step takes U_k off qubit k of phi, replaces it by the best factor
-    (_best_su2_on_factors) and puts it back.  The sweep ends with phi
-    rebuilt from g_fixed, so rounding drift spans at most one sweep, and
-    returns it with its squared residual.
+    (_best_su2_on_factors) and puts it back; a None factor is the identity
+    and is not applied.  The sweep ends with phi rebuilt from g_fixed, so
+    rounding drift spans at most one sweep, and returns it with its squared
+    residual.
     """
     for k in positions:
-        phi = _on_qubit(dagger(factors[k]), phi, k)
-        factors[k] = _best_su2_on_factors(h, phi, k)
-        phi = _on_qubit(factors[k], phi, k)
+        u = factors[k]
+        if u is not None:
+            phi = _on_qubit(dagger(u), phi, k)
+        u = factors[k] = _best_su2_on_factors(h, phi, k, u)
+        if u is not None:
+            phi = _on_qubit(u, phi, k)
     phi = apply_local(g_fixed, factors)
     return phi, factor_distance(h, phi) ** 2
 
@@ -904,8 +960,18 @@ def _signed_svd_frames(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _correlation_matrix(state: NQubitState) -> np.ndarray:
-    """The 3x3 block T_ij = Tr(rho sigma_i x sigma_j) of a two-qubit state."""
-    return 4.0 * expand(state).tensor()[1:, 1:]
+    """The 3x3 block T_ij = Tr(rho sigma_i x sigma_j) of a two-qubit state.
+
+    One einsum: sum_t G_t^dag (sigma_i x sigma_j) G_t over the columns of a
+    factor G, else over the matrix of a dense-only state.
+    """
+    s = PAULIS[1:]
+    if state.factor is not None:
+        g = state.factor.reshape(2, 2, -1)
+        t = np.einsum("abt,iac,jbd,cdt->ij", np.conj(g), s, s, g)
+    else:
+        t = np.einsum("cdab,iac,jbd->ij", state.matrix.reshape(2, 2, 2, 2), s, s)
+    return t.real
 
 
 def _bell_diagonal_witness(a: NQubitState, b: NQubitState) -> list[np.ndarray]:
@@ -946,10 +1012,13 @@ def su2_fallback(
     R is a with the fixed factors and the other mixed ones applied.  Two
     states with factors G_a, G_b run it on them (_factor_sweep): R's factor
     is the rotated phi = (U_fixed x U_mixed) G_a, and each sweep's residual
-    is factor_distance(G_b, phi)^2, so no 2**n x 2**n array is formed.
+    is factor_distance(G_b, phi)^2, so no 2**n x 2**n array is formed;
+    between two pure states each step is closed form (_top_su2_rank1).
     Otherwise it runs on the matrices (_matrix_sweep).  Restart 0 starts
-    every U_k at the identity, the others at random unit quaternions drawn
-    from FALLBACK_SEED.  Each sweep of steps ends with one direct residual.
+    every U_k at the identity, held as None and applied to nothing, so it
+    starts from the fixed factors' image as it is; the other restarts start
+    at random unit quaternions drawn from FALLBACK_SEED.  Each sweep of
+    steps ends with one direct residual.
     Returns the witness, None when no restart reaches tolerance, and the
     number of block steps plus residual evaluations.
     """
@@ -964,10 +1033,8 @@ def su2_fallback(
         for f, g, w in zip(ta.frames, tb.frames, phases.omegas)
     ]
     on_factors = a.factor is not None and b.factor is not None
-    if on_factors:
-        g_fixed = apply_local(a.factor, fixed)
-    else:
-        a_fixed = conjugate_local(a.matrix, fixed)
+    g_fixed = apply_local(a.factor, fixed) if on_factors else None
+    a_fixed = None if on_factors else conjugate_local(a.matrix, fixed)
     positions = [k for k, u in enumerate(fixed) if u is None]
     evaluations = 0
     rng = None  # restart 0 draws nothing
@@ -976,11 +1043,14 @@ def su2_fallback(
     for start in range(config.fallback_restarts):
         if start == 1:
             rng = make_rng(FALLBACK_SEED)
+        # None is the identity: restart 0 keeps every factor there and
+        # starts from g_fixed (or a_fixed) unrotated
         factors: list[np.ndarray | None] = [None] * a.n
-        for k in positions:
-            q = rng.normal(size=4) if start else np.array([1.0, 0.0, 0.0, 0.0])
-            factors[k] = _su2(q / np.linalg.norm(q))
-        phi = apply_local(g_fixed, factors) if on_factors else None
+        if start:
+            for k in positions:
+                q = rng.normal(size=4)
+                factors[k] = _su2(q / np.linalg.norm(q))
+        phi = apply_local(g_fixed, factors) if on_factors and start else g_fixed
         f = np.inf
         for _ in range(FALLBACK_SWEEPS):
             prev = f

@@ -68,15 +68,16 @@ def to_trace_form(
     """Rotate the state into the tensor product of its marginal eigenframes.
 
     frames, when given, are the state's local_eigenframes, so a caller that
-    already has them does not reduce the marginals again.  A factor is
-    rotated, and the result keeps it with the input's factor_error.  A
-    dense result is a unitary conjugate of a validated state, so it is only
-    Hermitized, as validate_state does.  Either way its spectrum and purity
-    are the input's, both being unitary invariants.
+    already has them does not reduce the marginals again.  A maximally
+    mixed qubit's frame is the identity, so it is not rotated at all.  A
+    factor is rotated, and the result keeps it with the input's
+    factor_error.  A dense result is a unitary conjugate of a validated
+    state, so it is only Hermitized, as validate_state does.  Either way
+    its spectrum and purity are the input's, both being unitary invariants.
     """
     if frames is None:
         frames = local_eigenframes(state)
-    factors = [dagger(f.v) for f in frames]
+    factors = [None if f.maximally_mixed else dagger(f.v) for f in frames]
     if state.factor is None:
         rotated = conjugate_local(state.matrix, factors)
         rotated = 0.5 * (rotated + dagger(rotated))

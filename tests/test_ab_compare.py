@@ -20,3 +20,10 @@ def test_ab_compare_checkout_against_itself():
     # the same source decides the same way, witness for witness
     assert report["witness_pairs"] == 2 and report["witness_max_diff"] == 0.0
     assert report["time_ratio_p25"] <= report["time_ratio_p50"] <= report["time_ratio_p75"]
+    # one median ratio per instance label, printed one line each
+    labels = {"generic_rank2_n4", "unrelated_n3", "conjugate_rank2_n2", "ghz3", "ghz3_fallback"}
+    assert set(report["ratio_by_label"]) == labels
+    assert all(ratio > 0 for ratio in report["ratio_by_label"].values())
+    lines = done.stdout.splitlines()
+    for label in labels:
+        assert any(line.startswith(f"time B/A {label}: median") for line in lines)

@@ -264,6 +264,7 @@ def degenerate_pairs():
         ("ghz4", ghz_state(4)),
         ("bell_psi", from_pure_amplitudes(bell_psi)),
         ("rank2_one_mixed", validate_state(one_mixed_rank_two(rng))),
+        ("ghz5", ghz_state(5)),
     ]:
         rotated = apply_local_unitaries(state, [haar_local_unitary(rng) for _ in range(state.n)])
         yield name, state, rotated
