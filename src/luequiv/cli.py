@@ -32,7 +32,7 @@ from .serialize import (
     sha256_digest,
     verdict_report,
 )
-from .states import MAX_PURE_QUBITS, MAX_QUBITS, bloch_vector, from_pure_amplitudes, reduced_qubit
+from .states import MAX_PURE_QUBITS, MAX_QUBITS, bloch_vector, from_pure_amplitudes, qubit_marginals
 from .traceform import to_trace_form
 
 USAGE_ERROR = 3
@@ -126,7 +126,7 @@ def _cmd_check(args) -> int:
 def _cmd_trace_form(args) -> int:
     state, _ = _load(args.state)
     t = to_trace_form(state)
-    blochs = [bloch_vector(reduced_qubit(state, f.qubit)) for f in t.frames]
+    blochs = [bloch_vector(m) for m in qubit_marginals(state)]
     doc = {
         "n": state.n,
         "rho_t": matrix_pairs(t.state.matrix),

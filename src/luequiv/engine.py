@@ -19,12 +19,13 @@ compared through the R factor of [G_t, H_t] (linalg.factor_distance), and
 the phase solve reads its entries G_t,r G_t,c^dag row by row, so a
 decision between two factors of rank r forms no 2**n x 2**n array.  Two
 rank-1 factors (pure states) cost O(n 2**n) throughout.  The witness
-residual is taken against (U G)(U G)^dag: for two rank-1 factors as
-vectors, otherwise against the other input's matrix, block by block.  A
-mixed qubit is traced out of the factors, by moving its axis into their
-columns, and the SU(2) fallback rotates G and contracts its block steps
-from the two factors, so a decision between two factor states with mixed
-qubits forms no 2**n x 2**n array either.
+residual is taken against (U G)(U G)^dag: against the other input's factor
+G' through factor_distance, so a decision between two factor states reads
+no 2**n x 2**n matrix, or block by block against the matrix of a
+dense-only other input.  A mixed qubit is traced out of the factors, by
+moving its axis into their columns, and the SU(2) fallback rotates G and
+contracts its block steps from the two factors, so a decision between two
+factor states with mixed qubits forms no 2**n x 2**n array either.
 
 A factor's error e = ||rho - G G^dag||_F is carried into the verdict: with
 eps = e_a + e_b, every distance taken on the factors is within eps of the
@@ -49,6 +50,7 @@ states that matrix has rank 2, and the step is taken in closed form.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 
@@ -206,10 +208,10 @@ def preflight_invariants(
     eps = a.factor_error + b.factor_error
     global_gap = max(float(np.max(np.abs(a.spectrum - b.spectrum))) - eps, 0.0)
     scale = 2.0 ** ((a.n - 1) / 2.0)
-    marginal_gaps = [
-        max(float(np.max(np.abs(fa.eigenvalues - fb.eigenvalues))) - scale * eps, 0.0)
-        for fa, fb in zip(*frames)
-    ]
+    marginal_gaps = []
+    for fa, fb in zip(*frames):
+        (a0, a1), (b0, b1) = fa.eigenvalues.tolist(), fb.eigenvalues.tolist()
+        marginal_gaps.append(max(max(abs(a0 - b0), abs(a1 - b1)) - scale * eps, 0.0))
     failed = None
     qubit = None
     gap = 0.0
@@ -270,9 +272,12 @@ def _smith_lists(a: list, rows: int, cols: int):
     row-major order) and clears the pivot's column and row by floor
     division; it repeats while remainders are left.  Once both are clear, a
     row holding a non-multiple of the pivot is added to the pivot row, and
-    when none is left the pivot is made positive.  Returns the lists of u,
-    the invariant factors d and v transposed, so that column steps on v are
-    row steps on vt.
+    when none is left the pivot is made positive.  A unit entry is the
+    smallest there can be, so the scan stops at the first one, and a unit
+    pivot divides every entry: clearing it leaves no remainder and no
+    non-multiple, so both scans are skipped.  u, d and v are those of the
+    full scans.  Returns the lists of u, the invariant factors d and v
+    transposed, so that column steps on v are row steps on vt.
     """
     u = [[int(r == c) for c in range(rows)] for r in range(rows)]
     vt = [[int(r == c) for c in range(cols)] for r in range(cols)]
@@ -286,6 +291,10 @@ def _smith_lists(a: list, rows: int, cols: int):
                     x = abs(row[c])
                     if x and (not best or x < best):
                         best, i, j = x, r, c
+                        if x == 1:
+                            break
+                if best == 1:
+                    break
             if not best:
                 return u, d, vt
             a[t], a[i] = a[i], a[t]
@@ -305,6 +314,8 @@ def _smith_lists(a: list, rows: int, cols: int):
                     for row in a:
                         row[c] -= q * row[t]
                     vt[c] = [x - q * y for x, y in zip(vt[c], vt[t])]
+            if best == 1:
+                break
             if any(a[r][t] for r in range(t + 1, rows)) or any(a[t][t + 1 :]):
                 continue  # nonzero remainders are smaller than p: pivot on one
             # a row holding a non-multiple of p, added to the pivot row, leaves
@@ -712,58 +723,71 @@ def phase_match(t: TraceForm, t_prime: TraceForm, tol: float) -> PhaseMatchResul
 # ---------------------------------------------------------------------------
 
 
-def normalize_special(u: np.ndarray) -> np.ndarray:
+def normalize_special(u) -> np.ndarray:
     """Scale a 2x2 unitary to det 1 with a deterministic sign.
 
-    The sign puts the argument of the first row-major entry of modulus above
-    1e-8 into (-pi/2, pi/2].
+    u is an array or nested lists; the arithmetic runs on its entries as
+    Python complex scalars.  The sign puts the argument of the first
+    row-major entry of modulus above 1e-8 into (-pi/2, pi/2].
     """
-    det = u[0, 0] * u[1, 1] - u[0, 1] * u[1, 0]
-    out = u / np.sqrt(det)
-    for entry in out.reshape(-1):
+    (a, b), (c, d) = u.tolist() if isinstance(u, np.ndarray) else u
+    root = cmath.sqrt(a * d - b * c)
+    out = [a / root, b / root, c / root, d / root]
+    for entry in out:
         if abs(entry) > 1e-8:
-            phi = float(np.angle(entry))
-            if not (-np.pi / 2 < phi <= np.pi / 2):
-                out = -out
+            if not -math.pi / 2 < cmath.phase(entry) <= math.pi / 2:
+                out = [-x for x in out]
             break
-    return out
+    return np.array(out, dtype=complex).reshape(2, 2)
 
 
-def _diag_phase(omega: float) -> np.ndarray:
-    return np.diag([np.exp(1j * omega), np.exp(-1j * omega)])
+def _frame_unitary(f: LocalEigenframe, g: LocalEigenframe, omega: float) -> list:
+    """V'_i diag(e^{iw}, e^{-iw}) V_i^dag as nested lists of Python complex scalars.
 
-
-def _frame_unitary(f: LocalEigenframe, g: LocalEigenframe, core: np.ndarray) -> np.ndarray:
-    """V'_i core V_i^dag: a trace-form local operator taken back to the inputs."""
-    return g.v @ core @ dagger(f.v)
+    A trace-form phase of qubit i taken back to the inputs, entry by entry:
+    [V' D V^dag]_jk = V'_j0 e^{iw} conj(V_k0) + V'_j1 e^{-iw} conj(V_k1).
+    """
+    (g00, g01), (g10, g11) = g.v.tolist()
+    (f00, f01), (f10, f11) = f.v.tolist()
+    z = cmath.exp(1j * omega)
+    zc = z.conjugate()
+    # V' D and the conjugated rows of V, whose products are V' D V^dag
+    d00, d01, d10, d11 = g00 * z, g01 * zc, g10 * z, g11 * zc
+    c00, c01, c10, c11 = f00.conjugate(), f01.conjugate(), f10.conjugate(), f11.conjugate()
+    return [
+        [d00 * c00 + d01 * c01, d00 * c10 + d01 * c11],
+        [d10 * c00 + d11 * c01, d10 * c10 + d11 * c11],
+    ]
 
 
 def _witness_residual(us, original: NQubitState, original_prime: NQubitState) -> float:
     """An upper bound of ||rho' - U rho U^dag||_F, exact up to the factor errors it adds.
 
-    A factor G of rho is rotated to U G.  Two rank-1 factors are compared as
-    vectors (factor_distance), adding both errors; otherwise the matrix of
-    rho' is compared with (U G)(U G)^dag over gram's blocks
-    (gram_distance), adding the error of rho, so no 2**n x 2**n product or
-    difference is formed.  A dense-only rho is conjugated whole.
+    A factor G of rho is rotated to U G.  When rho' has a factor G' too, the
+    two are compared through factor_distance(G', U G), the distance of
+    G' G'^dag and (U G)(U G)^dag, to which both errors are added, so a
+    decision between two factor states reads no 2**n x 2**n matrix.  A
+    dense-only rho' is compared with (U G)(U G)^dag over gram's blocks
+    (gram_distance), adding the error of rho, with no 2**n x 2**n product
+    or difference formed.  A dense-only rho is conjugated whole.
     """
     if original.factor is None:
         return frobenius_distance(original_prime.matrix, conjugate_local(original.matrix, us))
     ug = apply_local(original.factor, us)
-    if ug.shape[1] == 1 and original_prime.rank == 1:
+    if original_prime.factor is not None:
         distance = factor_distance(original_prime.factor, ug)
         return distance + original.factor_error + original_prime.factor_error
     return gram_distance(original_prime.matrix, ug) + original.factor_error
 
 
+# the identity, for a None unitary
+_IDENTITY = ((1.0, 0.0), (0.0, 1.0))
+
+
 def _finalize_witness(
     unitaries, original: NQubitState, original_prime: NQubitState, tol: float
 ) -> WitnessLU:
-    # a None unitary is the identity
-    us = tuple(
-        normalize_special(np.eye(2, dtype=complex) if u is None else np.asarray(u, dtype=complex))
-        for u in unitaries
-    )
+    us = tuple(normalize_special(_IDENTITY if u is None else u) for u in unitaries)
     residual = _witness_residual(us, original, original_prime)
     if residual > tol:
         raise EngineInconsistencyError(
@@ -789,8 +813,8 @@ def assemble_witness(
     successful return is a machine-checkable certificate.
     """
     us = [
-        _frame_unitary(f, g, _diag_phase(float(w)))
-        for f, g, w in zip(t.frames, t_prime.frames, phases.omegas)
+        _frame_unitary(f, g, w)
+        for f, g, w in zip(t.frames, t_prime.frames, phases.omegas.tolist())
     ]
     return _finalize_witness(us, original, original_prime, tol)
 
@@ -820,10 +844,42 @@ def _su2(q) -> np.ndarray:
     return np.array([[complex(q0, q3), complex(q2, q1)], [complex(-q2, q1), complex(q0, -q3)]])
 
 
-def _top_su2(w: np.ndarray) -> np.ndarray:
-    """The U in SU(2) maximizing q^T K q for the contraction w (see _best_su2_factor)."""
+def _quaternion(u: np.ndarray | None) -> np.ndarray:
+    """The unit q with _su2(q) = u for u in SU(2); None is the identity."""
+    if u is None:
+        return np.array([1.0, 0.0, 0.0, 0.0])
+    return np.array([u[0, 0].real, u[0, 1].imag, u[0, 1].real, u[0, 0].imag])
+
+
+# eigenvalues of K within 8 ulps of ||K|| below its top one count as equal
+# to it: eigh resolves K only to a few ulps of its norm
+_TIE = 8 * np.finfo(float).eps
+
+
+def _top_su2(w: np.ndarray, current: np.ndarray | None = None) -> np.ndarray:
+    """The U in SU(2) maximizing q^T K q for the contraction w (see _best_su2_factor).
+
+    A repeated top eigenvalue of K (within _TIE ||K|| of the top) leaves
+    a whole eigenspace of maximizers, of which eigh returns any vector, so
+    the step keeps the projection of current (None is the identity) onto
+    that eigenspace, as _top_su2_rank1 keeps current when every U is
+    equally good.  When current is nearly orthogonal to it, the first unit
+    quaternion 1, i, j, k with a projection of norm at least 1/2 is
+    projected instead: the squared norms of those four sum to the
+    eigenspace's dimension, at least 2, so one of them qualifies.
+    """
     k = (w.reshape(16) @ _K_MAP).real.reshape(4, 4)
-    return _su2(np.linalg.eigh(k)[1][:, -1])
+    values, vectors = np.linalg.eigh(k)
+    low, _, second, top = values.tolist()
+    tied = top - _TIE * max(-low, top)
+    if second < tied:
+        return _su2(vectors[:, -1])
+    space = vectors[:, values >= tied]
+    # the projections of current, 1, i, j and k, as columns
+    p = space @ (space.T @ np.column_stack([_quaternion(current), np.eye(4)]))
+    norms = np.linalg.norm(p, axis=0)
+    first = int(np.argmax(norms >= 0.5))
+    return _su2(p[:, first] / norms[first])
 
 
 def _top_su2_rank1(a: np.ndarray, current: np.ndarray | None) -> np.ndarray | None:
@@ -861,7 +917,9 @@ def _top_su2_rank1(a: np.ndarray, current: np.ndarray | None) -> np.ndarray | No
     return _su2([t / norm for t in q])
 
 
-def _best_su2_factor(target: np.ndarray, r: np.ndarray, k: int) -> np.ndarray:
+def _best_su2_factor(
+    target: np.ndarray, r: np.ndarray, k: int, current: np.ndarray | None = None
+) -> np.ndarray:
     """The U in SU(2) on qubit k (0-based) minimizing ||target - U r U^dag||_F.
 
     Both matrices are Hermitian, so the squared distance is a constant less
@@ -869,12 +927,13 @@ def _best_su2_factor(target: np.ndarray, r: np.ndarray, k: int) -> np.ndarray:
     quadratic form q^T K q,  K_mu,nu = Re sum E_mu[j,i] conj(E_nu[m,l]) W[m,j,i,l]
     for W the contraction of target and r over every other qubit.  The best
     unit q is the top eigenvector of K + K^T (Horn's quaternion solution),
-    which _K_MAP takes from W in one product.
+    which _K_MAP takes from W in one product; a repeated top eigenvalue
+    keeps current's projection (_top_su2).
     """
     left = 2**k
     six = (left, 2, r.shape[0] // (2 * left)) * 2
     w = np.tensordot(target.reshape(six), r.reshape(six), axes=([0, 2, 3, 5], [3, 5, 0, 2]))
-    return _top_su2(w)
+    return _top_su2(w, current)
 
 
 def _best_su2_on_factors(
@@ -887,7 +946,8 @@ def _best_su2_on_factors(
     W[m,j,i,l] = sum_{s,t} A[m,s,l,t] conj(A[j,s,i,t]): O(2**n r r') work
     and no 2**n x 2**n array.  Two single columns (pure states) give a 2x2 A
     and the closed form _top_su2_rank1, which keeps current when every U is
-    equally good; any other ranks take _top_su2 of the whole contraction.
+    equally good; any other ranks take _top_su2 of the whole contraction,
+    which keeps current's projection when the top eigenvalue is repeated.
     """
     left = 2**k
     if h.shape[1] == phi.shape[1] == 1:
@@ -898,7 +958,8 @@ def _best_su2_on_factors(
         np.conj(phi.reshape(left, 2, -1, phi.shape[1])),
         axes=([0, 2], [0, 2]),
     )
-    return _top_su2(np.tensordot(a, np.conj(a), axes=([1, 3], [1, 3])).transpose(0, 2, 3, 1))
+    w = np.tensordot(a, np.conj(a), axes=([1, 3], [1, 3])).transpose(0, 2, 3, 1)
+    return _top_su2(w, current)
 
 
 def _on_qubit(u: np.ndarray, x: np.ndarray, k: int) -> np.ndarray:
@@ -931,7 +992,7 @@ def _matrix_sweep(target, a_fixed, factors, positions) -> float:
     for k in positions:
         others = list(factors)
         others[k] = None
-        factors[k] = _best_su2_factor(target, conjugate_local(a_fixed, others), k)
+        factors[k] = _best_su2_factor(target, conjugate_local(a_fixed, others), k, factors[k])
     # the analytic optimum cancels near tol^2: measure the residual
     return float(np.sum(np.abs(target - conjugate_local(a_fixed, factors)) ** 2))
 
@@ -1029,8 +1090,8 @@ def su2_fallback(
             pass  # noise near tol: the search below may still find a witness
     mixed = set(mixed_qubits)
     fixed = [
-        None if f.qubit in mixed else _frame_unitary(f, g, _diag_phase(float(w)))
-        for f, g, w in zip(ta.frames, tb.frames, phases.omegas)
+        None if f.qubit in mixed else _frame_unitary(f, g, w)
+        for f, g, w in zip(ta.frames, tb.frames, phases.omegas.tolist())
     ]
     on_factors = a.factor is not None and b.factor is not None
     g_fixed = apply_local(a.factor, fixed) if on_factors else None

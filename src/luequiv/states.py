@@ -11,6 +11,7 @@ state with no factor is dense-only and runs every stage on its matrix.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -45,6 +46,8 @@ FACTOR_TOL = 1e-12
 # crossover at every n the dense path serves
 R_MAX = 32
 BLOCH_NORM_TOL = 1e-10
+# qubit_marginals gathers at most this many entries of a factor at once (1 MB)
+_GATHER = 2**16
 
 
 class StateValidationError(ValueError):
@@ -232,10 +235,11 @@ def from_pure_amplitudes(amplitudes, max_qubits: int = MAX_PURE_QUBITS) -> NQubi
 
 
 def reduced_qubit(state: NQubitState, i: int) -> np.ndarray:
-    """Single-qubit marginal of qubit i (1-based).
+    """Single-qubit marginal of qubit i (1-based), one qubit at a time.
 
     A state with a factor G has the marginal of G G^dag, contracted from G
-    in O(2**n r).
+    in O(2**n r).  The decision reads every marginal at once from
+    qubit_marginals; this is the reference it is tested against.
     """
     if state.factor is None:
         return partial_trace(state.matrix, state.n, i)
@@ -243,6 +247,53 @@ def reduced_qubit(state: NQubitState, i: int) -> np.ndarray:
         raise ValueError(f"keep={i} out of range 1..{state.n}")
     t = state.factor.reshape(2 ** (i - 1), 2, -1)
     return np.einsum("aib,ajb->ij", t, np.conj(t))
+
+
+@lru_cache(maxsize=None)
+def _bit_pairs(n: int) -> np.ndarray:
+    """The read-only (n, 2, 2**(n-1)) index table of bit partners.
+
+    Row [k, 0] holds the basis indices whose bit for qubit k + 1 is 0, in
+    increasing order, and row [k, 1] each of them with that bit set.  The
+    indices are int32, which holds the flat entry indices of a dense matrix
+    too and halves the table.  One table is kept per n: 4 MB at n = 16, and
+    8 MB for all n up to MAX_PURE_QUBITS together.
+    """
+    x = np.arange(2 ** (n - 1), dtype=np.int32)
+    shift = np.arange(n - 1, -1, -1, dtype=np.int32)[:, None, None]
+    low = ((x >> shift) << (shift + 1)) | (x & ((1 << shift) - 1))
+    pairs = low | (np.arange(2, dtype=np.int32)[:, None] << shift)
+    pairs.flags.writeable = False
+    return pairs
+
+
+def qubit_marginals(state: NQubitState) -> np.ndarray:
+    """All n single-qubit marginals, as an (n, 2, 2) array, qubit 1 first.
+
+    The basis indices are paired across each qubit's bit (_bit_pairs).  For
+    a factor G, gathering its rows along those pairs gives, for each qubit,
+    the 2 x 2^(n-1) r matrix A_k whose Gram matrix A_k A_k^dag is the
+    marginal: one batched product for all qubits, O(n 2**n r), gathered a
+    block of qubits at a time.  A dense-only state sums its diagonal over
+    the pairs' halves and its entries rho_xy over the pairs x, y.
+    reduced_qubit is the single-qubit reference.
+    """
+    n = state.n
+    pairs = _bit_pairs(n)
+    if state.factor is None:
+        m = state.matrix
+        out = np.empty((n, 2, 2), dtype=complex)
+        out[:, [0, 1], [0, 1]] = np.take(m.diagonal().real, pairs).sum(axis=2)
+        out[:, 0, 1] = np.take(m, pairs[:, 0] * 2**n + pairs[:, 1]).sum(axis=1)
+        out[:, 1, 0] = np.conj(out[:, 0, 1])
+        return out
+    g = state.factor
+    step = max(1, _GATHER // (2**n * g.shape[1]))
+    blocks = []
+    for k in range(0, n, step):
+        a = np.take(g, pairs[k : k + step], axis=0).reshape(-1, 2, 2 ** (n - 1) * g.shape[1])
+        blocks.append(a @ np.conj(a).transpose(0, 2, 1))
+    return blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
 
 
 def state_distance(a: NQubitState, b: NQubitState) -> float:

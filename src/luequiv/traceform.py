@@ -18,7 +18,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import DEGENERACY_TOL, apply_local, conjugate_local, dagger, eig_hermitian_2x2_batch
-from .states import NQubitState, reduced_qubit
+from .states import NQubitState, qubit_marginals
+
+# the frame of every maximally mixed qubit, shared and read-only
+_IDENTITY = np.eye(2, dtype=complex)
+_IDENTITY.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -47,15 +51,17 @@ def local_eigenframes(
 ) -> tuple[LocalEigenframe, ...]:
     """Diagonalize every single-qubit marginal with the fixed phase convention.
 
-    The n marginals go to one closed-form call.
+    The n marginals come from one contraction (qubit_marginals) and go to
+    one closed-form call.
     """
-    marginals = [reduced_qubit(state, i) for i in range(1, state.n + 1)]
-    values, vectors, degenerate = eig_hermitian_2x2_batch(marginals, degeneracy_tol=degeneracy_tol)
+    values, vectors, degenerate = eig_hermitian_2x2_batch(
+        qubit_marginals(state), degeneracy_tol=degeneracy_tol
+    )
     return tuple(
         LocalEigenframe(
             qubit=k + 1,
             eigenvalues=values[k],
-            v=np.eye(2, dtype=complex) if degenerate[k] else vectors[k],
+            v=_IDENTITY if degenerate[k] else vectors[k],
             maximally_mixed=bool(degenerate[k]),
         )
         for k in range(state.n)

@@ -30,7 +30,7 @@ from luequiv import (
     validate_state,
 )
 from luequiv.engine import EQUIVALENT, MATCHED, phase_match
-from luequiv.linalg import conjugate_local, kron_all
+from luequiv.linalg import conjugate_local, gram_distance, kron_all
 from luequiv.states import FACTOR_TOL, R_MAX
 from tests.conftest import bell_state, dense_only, direct_residual, ghz_state
 from tests.test_acceptance import generic_state, phase_diag
@@ -203,8 +203,12 @@ def test_factor_witness_residual_bounds_the_kronecker_residual(n):
         verdict = decide_lu_equivalence(a, b)
         assert verdict.outcome == EQUIVALENT
         kron = direct_residual(a, b, verdict.witness.unitaries)
-        # ||b - (UG)(UG)^dag|| + e_a: at least the true residual, at most it plus 2 e_a
-        assert kron <= verdict.witness.residual <= kron + 2 * a.factor_error + 1e-15
+        # the check is fd + e_a + e_b with fd = ||G_b G_b^dag - (U G_a)(U G_a)^dag||.
+        # rho_b is within e_b of G_b G_b^dag and U rho_a U^dag within e_a of
+        # (U G_a)(U G_a)^dag, so |fd - kron| <= e_a + e_b: the check is at
+        # least kron, and at most kron + 2 (e_a + e_b)
+        errors = a.factor_error + b.factor_error
+        assert kron <= verdict.witness.residual <= kron + 2 * errors + 1e-15
 
 
 def test_factor_errors_widen_the_preflight_bound():
@@ -228,19 +232,27 @@ def test_factor_errors_widen_the_preflight_bound():
 
 def test_rank_two_decision_at_nine_qubits_conjugates_no_matrix(monkeypatch):
     calls = []
+    reads = []
 
     def counting(m, factors):
         calls.append(m.shape)
         return conjugate_local(m, factors)
 
+    def reading(m, g):
+        reads.append(m.shape)
+        return gram_distance(m, g)
+
     monkeypatch.setattr(luequiv.engine, "conjugate_local", counting)
     monkeypatch.setattr(luequiv.traceform, "conjugate_local", counting)
+    monkeypatch.setattr(luequiv.engine, "gram_distance", reading)
     rng = make_rng(29)
     a = random_mixed_state(9, 2, rng)
     b = validate_state(conjugate_local(a.matrix, [haar_local_unitary(rng) for _ in range(9)]))
     verdict = decide_lu_equivalence(a, b)
     assert verdict.outcome == EQUIVALENT
     assert calls == []
+    # the witness is checked against b's factor: b's matrix is not read
+    assert reads == []
     assert verdict.witness.residual <= 1e-9
     form = to_trace_form(a)
     assert form.state.rank == 2 and form.state.factor_error == a.factor_error

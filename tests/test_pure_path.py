@@ -173,7 +173,7 @@ def test_each_marginal_is_reduced_once_per_decision(monkeypatch):
     rng = make_rng(41)
     state = random_pure_state(5, rng)
     rotated = apply_local_unitaries(state, [haar_local_unitary(rng) for _ in range(5)])
-    reduced = counted(monkeypatch, luequiv.traceform, "reduced_qubit")
+    reduced = counted(monkeypatch, luequiv.traceform, "qubit_marginals")
     eigen = counted(monkeypatch, luequiv.traceform, "eig_hermitian_2x2_batch")
     keys = set(vars(state))
     for _ in range(2):
@@ -182,8 +182,9 @@ def test_each_marginal_is_reduced_once_per_decision(monkeypatch):
         eigen.clear()
         verdict = decide_lu_equivalence(state, rotated)
         assert verdict.outcome == EQUIVALENT
-        # one stacked diagonalization per state, of its 5 marginals
-        assert len(reduced) == 2 * 5
+        # one contraction of all 5 marginals per state, and one stacked
+        # diagonalization of them
+        assert len(reduced) == 2 and reduced[0] is state and reduced[1] is rotated
         assert [len(marginals) for marginals in eigen] == [5, 5]
     assert set(vars(state)) == keys
     assert state.dense is None and rotated.dense is None

@@ -12,11 +12,14 @@ from luequiv import (
     bloch_vector,
     from_pure_amplitudes,
     global_spectrum,
+    make_rng,
+    random_mixed_state,
+    random_pure_state,
     reduced_qubit,
     validate_state,
 )
-from luequiv.states import MAX_PURE_QUBITS, MAX_QUBITS
-from tests.conftest import SX, SY, SZ, ghz_state, w_state
+from luequiv.states import MAX_PURE_QUBITS, MAX_QUBITS, qubit_marginals
+from tests.conftest import SX, SY, SZ, dense_only, ghz_state, w_state
 
 
 def test_validate_accepts_pure_qubit():
@@ -193,6 +196,24 @@ def test_pure_marginals_match_the_dense_partial_trace(seed, n):
         assert np.allclose(reduced_qubit(pure, qubit), reduced_qubit(dense, qubit), atol=1e-14)
     with pytest.raises(ValueError):
         reduced_qubit(pure, n + 1)
+
+
+def marginal_cases():
+    rng = make_rng(77)
+    for n in (1, 2, 10, 16):  # n = 16 gathers its factor in several blocks
+        yield f"pure_n{n}", random_pure_state(n, rng)
+    for rank in (2, 3, 4):
+        yield f"rank{rank}", random_mixed_state(6, rank, rng)
+    yield "dense_only", dense_only(random_mixed_state(5, 8, rng).matrix)
+
+
+@pytest.mark.parametrize("name,state", list(marginal_cases()))
+def test_qubit_marginals_match_the_single_qubit_reference(name, state):
+    assert (state.factor is None) == (name == "dense_only")
+    marginals = qubit_marginals(state)
+    assert marginals.shape == (state.n, 2, 2)
+    for k, marginal in enumerate(marginals):
+        assert np.max(np.abs(marginal - reduced_qubit(state, k + 1))) <= 1e-14
 
 
 def test_pure_cap_is_sixteen_qubits():

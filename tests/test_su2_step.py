@@ -3,8 +3,10 @@
 Between two single columns the best SU(2) factor of one qubit is taken in
 closed form (_top_su2_rank1); it is held to the eigenvector of the full
 contraction (_best_su2_factor on the density matrices) and to sampled SU(2)
-elements.  Also the correlation matrix read from a factor, and the
-rotations by the identity that the trace form and restart 0 leave out.
+elements.  The step on any other ranks keeps the current factor's
+projection when the top eigenvalue is repeated.  Also the correlation
+matrix read from a factor, and the rotations by the identity that the
+trace form and restart 0 leave out.
 """
 
 import numpy as np
@@ -30,6 +32,7 @@ from luequiv.engine import (
     _best_su2_on_factors,
     _correlation_matrix,
     _su2,
+    _top_su2,
 )
 from luequiv.linalg import PAULIS, apply_local, kron_all
 from tests.conftest import I2, dense_only, direct_residual, ghz_state
@@ -124,6 +127,48 @@ def test_closed_form_step_is_the_exact_block_minimizer(k):
     target = other @ other.conj().T
     floor = residual(target, _best_su2_on_factors(other, phi, k, None))
     assert all(floor <= residual(target, haar_local_unitary(rng)) + 1e-12 for _ in range(200))
+
+
+def one_qubit_contraction(target: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """The W of _best_su2_factor for two single-qubit matrices."""
+    four = (1, 2, 1) * 2
+    return np.tensordot(target.reshape(four), r.reshape(four), axes=([0, 2, 3, 5], [3, 5, 0, 2]))
+
+
+def ulp_moves(w: np.ndarray):
+    """w with one real or imaginary part of one nonzero entry moved by one ulp either way."""
+    for i in np.flatnonzero(w.reshape(-1)):
+        for toward in (np.inf, -np.inf):
+            for part in (1.0, 1j):
+                x = w.copy().reshape(-1)
+                z = (x[i] / part).real
+                x[i] += (np.nextafter(z, toward) - z) * part
+                yield x.reshape(w.shape)
+
+
+@pytest.mark.parametrize("current", [None, "phase", "orthogonal"])
+@pytest.mark.parametrize("target", ["plus", "y"])
+def test_repeated_top_eigenvalue_keeps_the_current_factor(current, target):
+    # every U with U|0> along |+> (or |+i>) is a maximizer, so K's top
+    # eigenvalue is exactly double; a one-ulp move of W must not pick
+    # another vector of that eigenspace.  A current factor orthogonal to
+    # that eigenspace falls back to the first unit quaternion that is not
+    targets = {"plus": np.full((2, 2), 0.5), "y": np.array([[0.5, -0.5j], [0.5j, 0.5]])}
+    w = one_qubit_contraction(targets[target].astype(complex), np.diag([1.0, 0.0]).astype(complex))
+    values, vectors = np.linalg.eigh((w.reshape(16) @ luequiv.engine._K_MAP).real.reshape(4, 4))
+    assert values[-1] == values[-2] > values[-3]
+    u_now = {
+        None: None,
+        "phase": _su2([np.cos(0.3), 0.0, 0.0, np.sin(0.3)]),
+        "orthogonal": _su2(vectors[:, 0]),
+    }[current]
+    u = _top_su2(w, u_now)
+    assert np.max(np.abs(u @ u.conj().T - I2)) <= 1e-14
+    # the image of |0> is the target's eigenvector, up to a phase
+    image = u[:, 0]
+    assert abs(np.vdot(image, targets[target] @ image).real - 1.0) <= 1e-12
+    for moved in ulp_moves(w):
+        assert np.max(np.abs(_top_su2(moved, u_now) - u)) <= 1e-12
 
 
 # --------------------------------------------------- correlation matrix
