@@ -58,7 +58,6 @@ def _build_parser() -> _Parser:
     check.add_argument("state_a")
     check.add_argument("state_b")
     check.add_argument("--tol", type=float, default=None, help="decision tolerance (Frobenius)")
-    check.add_argument("--degeneracy-tol", type=float, default=None, help="maximally-mixed eigenvalue gap")
     check.add_argument("--fallback", action="store_true", help="enable the SU(2) search on degenerate marginals")
     check.add_argument("--json", action="store_true", help="print the full JSON report")
 
@@ -99,11 +98,7 @@ def _load(path: str):
 def _cmd_check(args) -> int:
     state_a, digest_a = _load(args.state_a)
     state_b, digest_b = _load(args.state_b)
-    config = config_from_flags(
-        tol=args.tol,
-        degeneracy_tol=args.degeneracy_tol,
-        fallback=True if args.fallback else None,
-    )
+    config = config_from_flags(tol=args.tol, fallback=True if args.fallback else None)
     verdict = decide_lu_equivalence(state_a, state_b, config)
     inputs = {
         "a": {"path": args.state_a, "digest": digest_a},

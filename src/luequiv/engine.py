@@ -34,8 +34,8 @@ residual that is reported or accepted, and subtracted from every lower
 bound a rejection rests on: the preflight gaps, the modulus bound and the
 branch scores.  A dense-only state has e = 0.
 
-Qubits with (near-)degenerate marginals admit a full SU(2) freedom instead of
-a phase.  Those instances come back Indeterminate unless the optional SU(2)
+A qubit whose marginal eigenvalue gap is below traceform.mixed_gap counts
+as maximally mixed: it admits a full SU(2) freedom instead of a phase.  Those instances come back Indeterminate unless the optional SU(2)
 fallback is enabled.  A partial trace over the mixed qubits commutes with
 their unitaries, so the phase solve on the other qubits' reductions is still
 a necessary condition: when it fails the verdict is Indeterminate at once.
@@ -69,7 +69,7 @@ from .linalg import (
     projector_distance,
 )
 from .states import NQubitState, state_distance
-from .traceform import LocalEigenframe, TraceForm, local_eigenframes, to_trace_form
+from .traceform import DEFAULT_TOL, LocalEigenframe, TraceForm, local_eigenframes, mixed_gap, to_trace_form
 
 EQUIVALENT = "equivalent"
 NOT_EQUIVALENT = "not_equivalent"
@@ -99,25 +99,23 @@ class EngineConfig:
 
     tol is the Frobenius decision tolerance applied to witness residuals,
     to the trace-form comparison and, scaled as preflight_invariants says,
-    to the preflight spectra; degeneracy_tol is the marginal eigenvalue gap
-    below which a qubit counts as maximally mixed.  The phase solve is
-    exact and has no budget.  The SU(2) fallback is off by default; it runs
-    fallback_restarts restarts of at most FALLBACK_SWEEPS block coordinate
-    sweeps each, and FALLBACK_SEED draws the starting factors of every
-    restart after the first.  Both tolerances must be finite and positive
-    and fallback_restarts at least 1; anything else raises ValueError.
+    to the preflight spectra.  It also sets the marginal eigenvalue gap
+    below which a qubit counts as maximally mixed (traceform.mixed_gap).
+    The phase solve is exact and has no budget.  The SU(2) fallback is off
+    by default; it runs fallback_restarts restarts of at most
+    FALLBACK_SWEEPS block coordinate sweeps each, and FALLBACK_SEED draws
+    the starting factors of every restart after the first.  tol must be
+    finite and positive and fallback_restarts at least 1; anything else
+    raises ValueError.
     """
 
-    tol: float = 1e-9
-    degeneracy_tol: float = 1e-10
+    tol: float = DEFAULT_TOL
     fallback: bool = False
     fallback_restarts: int = 16
 
     def __post_init__(self):
-        for name in ("tol", "degeneracy_tol"):
-            value = getattr(self, name)
-            if not (np.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be finite and positive, got {value}")
+        if not (np.isfinite(self.tol) and self.tol > 0):
+            raise ValueError(f"tol must be finite and positive, got {self.tol}")
         if self.fallback_restarts < 1:
             raise ValueError(f"fallback_restarts must be at least 1, got {self.fallback_restarts}")
 
@@ -1148,19 +1146,19 @@ def decide_lu_equivalence(
     preflight rejection implies that no witness is within config.tol
     (preflight_invariants), and the trace-form rejection is only issued
     when no marginal is maximally mixed and no branch of the exact phase
-    solve matches.  Degenerate marginals yield Indeterminate unless
-    config.fallback is set.  Then the phase solve on the non-mixed qubits
-    runs first, as a necessary condition, and only a match there starts
-    the SU(2) search; a failed solve is Indeterminate without a search.
+    solve matches.  A qubit whose marginal eigenvalue gap in either state
+    is below mixed_gap(n, config.tol, e_a + e_b) is maximally mixed, and
+    mixed qubits yield Indeterminate unless config.fallback is set.  Then
+    the phase solve on the non-mixed qubits runs first, as a necessary
+    condition, and only a match there starts the SU(2) search; a failed
+    solve is Indeterminate without a search.
     """
     if a.n != b.n:
         raise ValueError(f"qubit counts differ: {a.n} vs {b.n}")
-    diagnostics: dict = {}
-
-    frames = (
-        local_eigenframes(a, degeneracy_tol=config.degeneracy_tol),
-        local_eigenframes(b, degeneracy_tol=config.degeneracy_tol),
-    )
+    gap = mixed_gap(a.n, config.tol, a.factor_error + b.factor_error)
+    frames = (local_eigenframes(a, gap), local_eigenframes(b, gap))
+    gaps = [f.eigenvalues[0] - f.eigenvalues[1] for f in frames[0] + frames[1]]
+    diagnostics: dict = {"mixed_gap": gap, "min_eigen_gap": float(min(gaps))}
     pre = preflight_invariants(a, b, config.tol, frames=frames)
     diagnostics["preflight"] = {
         "global_gap": pre.global_gap,

@@ -27,7 +27,6 @@ PAULIS = np.stack([PAULI_I, PAULI_X, PAULI_Y, PAULI_Z])
 MAX_KRON_DIM = 4096
 
 HERMITICITY_TOL = 1e-10
-DEGENERACY_TOL = 1e-10
 
 # below the smallest normal double a 2x2 matrix counts as zero
 _TINY = sys.float_info.min
@@ -223,15 +222,10 @@ def partial_trace(rho: np.ndarray, n: int, keep: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class EigenPair2:
-    """Spectral data of a Hermitian 2x2 matrix.
-
-    eigenvalues are descending; vectors holds the matching eigenvectors as
-    columns; degenerate is set when the eigenvalue gap is below tolerance.
-    """
+    """Spectral data of a Hermitian 2x2 matrix: descending eigenvalues, eigenvectors as columns."""
 
     eigenvalues: np.ndarray
     vectors: np.ndarray
-    degenerate: bool
 
 
 def _phase_fixed(x0: complex, x1: complex) -> tuple[complex, complex]:
@@ -247,8 +241,8 @@ def _phase_fixed(x0: complex, x1: complex) -> tuple[complex, complex]:
     return x0 * phase, x1 * phase
 
 
-def _eig_2x2(h, degeneracy_tol: float):
-    """Eigenvalues, frame and degeneracy flag of one 2x2 matrix of Python complexes.
+def _eig_2x2(h):
+    """Eigenvalues and frame of one 2x2 matrix of Python complexes.
 
     See eig_hermitian_2x2_batch.
     """
@@ -265,7 +259,6 @@ def _eig_2x2(h, degeneracy_tol: float):
     # sqrt((a - c)^2 + 4|b|^2) with no square formed, so denormal entries keep their digits
     root = 0.5 * math.hypot(a - c, 2.0 * b.real, 2.0 * b.imag)
     values = (half_tr + root, half_tr - root)
-    degenerate = values[0] - values[1] < degeneracy_tol
 
     # eigenvectors are scale invariant; renormalizing the entries keeps
     # |b|^2 away from underflow for denormal-sized inputs.  Below tiny the
@@ -279,7 +272,7 @@ def _eig_2x2(h, degeneracy_tol: float):
     a, c, b, lo = a / scale, c / scale, b / scale, values[0] / scale
     if zero or abs(b) < _SQRT_TINY:
         frame = ((1.0, 0.0), (0.0, 1.0)) if a >= c else ((0.0, 1.0), (1.0, 0.0))
-        return values, frame, degenerate
+        return values, frame
 
     # two algebraically equivalent forms of the first eigenvector, [b, lo - a]
     # and [lo - c, conj(b)]; keep the better conditioned one, scaled by its
@@ -294,18 +287,15 @@ def _eig_2x2(h, degeneracy_tol: float):
     x0, x1 = x0 / norm, x1 / norm
     # the second eigenvector is the exact orthogonal complement of the first
     (v00, v10), (v01, v11) = _phase_fixed(x0, x1), _phase_fixed(-x1.conjugate(), x0.conjugate())
-    return values, ((v00, v01), (v10, v11)), degenerate
+    return values, ((v00, v01), (v10, v11))
 
 
-def eig_hermitian_2x2_batch(
-    h, degeneracy_tol: float = DEGENERACY_TOL
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def eig_hermitian_2x2_batch(h) -> tuple[np.ndarray, np.ndarray]:
     """Closed-form eigendecomposition of a stack of Hermitian 2x2 matrices.
 
     h is a (k, 2, 2) array or a sequence of k 2x2 matrices.  Returns the
-    descending eigenvalues (k, 2), the eigenvector frames (k, 2, 2),
-    eigenvectors as columns, and the degeneracy flags (k,), set where the
-    eigenvalue gap is below degeneracy_tol.  No iterative solver:
+    descending eigenvalues (k, 2) and the eigenvector frames (k, 2, 2),
+    eigenvectors as columns.  No iterative solver:
     eigenvalues come from the characteristic polynomial and the second
     eigenvector is the exact orthogonal complement of the first, so every
     frame is unitary to machine precision even near degeneracy.  The
@@ -317,16 +307,15 @@ def eig_hermitian_2x2_batch(
     h = np.asarray(h, dtype=complex)
     if h.ndim != 3 or h.shape[1:] != (2, 2):
         raise ValueError(f"expected a stack of 2x2 matrices, got {h.shape}")
-    solved = [_eig_2x2(m, degeneracy_tol) for m in h.tolist()]
+    solved = [_eig_2x2(m) for m in h.tolist()]
     k = len(solved)
     return (
-        np.array([values for values, _, _ in solved], dtype=float).reshape(k, 2),
-        np.array([frame for _, frame, _ in solved], dtype=complex).reshape(k, 2, 2),
-        np.array([degenerate for _, _, degenerate in solved], dtype=bool),
+        np.array([values for values, _ in solved], dtype=float).reshape(k, 2),
+        np.array([frame for _, frame in solved], dtype=complex).reshape(k, 2, 2),
     )
 
 
-def eig_hermitian_2x2(h: np.ndarray, degeneracy_tol: float = DEGENERACY_TOL) -> EigenPair2:
+def eig_hermitian_2x2(h: np.ndarray) -> EigenPair2:
     """Closed-form eigendecomposition of one Hermitian 2x2 matrix.
 
     The single-matrix case of eig_hermitian_2x2_batch.
@@ -334,5 +323,5 @@ def eig_hermitian_2x2(h: np.ndarray, degeneracy_tol: float = DEGENERACY_TOL) -> 
     h = np.asarray(h, dtype=complex)
     if h.shape != (2, 2):
         raise ValueError(f"expected a 2x2 matrix, got {h.shape}")
-    values, vectors, degenerate = eig_hermitian_2x2_batch(h[None], degeneracy_tol=degeneracy_tol)
-    return EigenPair2(eigenvalues=values[0], vectors=vectors[0], degenerate=bool(degenerate[0]))
+    values, vectors = eig_hermitian_2x2_batch(h[None])
+    return EigenPair2(eigenvalues=values[0], vectors=vectors[0])

@@ -30,7 +30,7 @@ from .states import (
     validate_state,
 )
 
-REPORT_SCHEMA = 2
+REPORT_SCHEMA = 3
 
 
 class StateFileError(ValueError):
@@ -159,10 +159,7 @@ def verdict_report(
         "budget_exhausted": verdict.budget_exhausted,
         "witness": None,
         "residual": None,
-        "tolerances": {
-            "tol": config.tol,
-            "degeneracy_tol": config.degeneracy_tol,
-        },
+        "tolerances": {"tol": config.tol},
         "diagnostics": verdict.diagnostics,
     }
     if verdict.witness is not None:

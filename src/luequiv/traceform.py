@@ -17,8 +17,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DEGENERACY_TOL, apply_local, conjugate_local, dagger, eig_hermitian_2x2_batch
+from .linalg import apply_local, conjugate_local, dagger, eig_hermitian_2x2_batch
 from .states import NQubitState, qubit_marginals
+
+# the decision tolerance a lone state's frames are read at (EngineConfig's default)
+DEFAULT_TOL = 1e-9
 
 # the frame of every maximally mixed qubit, shared and read-only
 _IDENTITY = np.eye(2, dtype=complex)
@@ -30,8 +33,8 @@ class LocalEigenframe:
     """Marginal eigendata of one qubit (1-based index).
 
     eigenvalues is (p, 1-p) descending, v the eigenvector frame (columns),
-    maximally_mixed marks a degenerate marginal, in which case v is the
-    identity by convention.
+    maximally_mixed marks a marginal whose eigenvalue gap is below
+    mixed_gap, in which case v is the identity by convention.
     """
 
     qubit: int
@@ -46,25 +49,39 @@ class TraceForm:
     frames: tuple[LocalEigenframe, ...]
 
 
-def local_eigenframes(
-    state: NQubitState, degeneracy_tol: float = DEGENERACY_TOL
-) -> tuple[LocalEigenframe, ...]:
+def mixed_gap(n: int, tol: float, factor_error: float) -> float:
+    """The marginal eigenvalue gap below which a qubit counts as maximally mixed.
+
+    (8 u + 2^((n-1)/2) factor_error) / tol, with u the machine epsilon and
+    factor_error the summed factor errors of the states compared.  A
+    marginal with gap g read with an error E has its frame turned by about
+    ||E|| / g (Davis-Kahan).  The rounding of qubit_marginals stayed within
+    2 u in spectral norm on Haar pure states at n = 2..16, and a factor's
+    marginal is within 2^((n-1)/2) e of the input's (the preflight's
+    bound).  So with 4 u per state, twice the rounding seen, the two
+    states' frames together turn by less than tol at any gap above this
+    value; below it they are not trusted.  That can cost a certificate but
+    not cause a false verdict: a trace-form rejection needs every qubit
+    unmixed, and every witness is re-verified.  Input noise is not counted;
+    noise at tol would put the value above every gap.
+    """
+    return (8.0 * np.finfo(float).eps + 2.0 ** ((n - 1) / 2.0) * factor_error) / tol
+
+
+def local_eigenframes(state: NQubitState, gap: float | None = None) -> tuple[LocalEigenframe, ...]:
     """Diagonalize every single-qubit marginal with the fixed phase convention.
 
     The n marginals come from one contraction (qubit_marginals) and go to
-    one closed-form call.
+    one closed-form call.  A qubit whose eigenvalue gap is below gap is
+    maximally mixed; gap defaults to mixed_gap of the state alone at
+    DEFAULT_TOL.
     """
-    values, vectors, degenerate = eig_hermitian_2x2_batch(
-        qubit_marginals(state), degeneracy_tol=degeneracy_tol
-    )
+    if gap is None:
+        gap = mixed_gap(state.n, DEFAULT_TOL, state.factor_error)
+    values, vectors = eig_hermitian_2x2_batch(qubit_marginals(state))
+    mixed = (values[:, 0] - values[:, 1] < gap).tolist()
     return tuple(
-        LocalEigenframe(
-            qubit=k + 1,
-            eigenvalues=values[k],
-            v=_IDENTITY if degenerate[k] else vectors[k],
-            maximally_mixed=bool(degenerate[k]),
-        )
-        for k in range(state.n)
+        LocalEigenframe(k + 1, values[k], _IDENTITY if m else vectors[k], m) for k, m in enumerate(mixed)
     )
 
 
@@ -74,7 +91,8 @@ def to_trace_form(
     """Rotate the state into the tensor product of its marginal eigenframes.
 
     frames, when given, are the state's local_eigenframes, so a caller that
-    already has them does not reduce the marginals again.  A maximally
+    already has them does not reduce the marginals again; without them the
+    frames are read at the default gap of local_eigenframes.  A maximally
     mixed qubit's frame is the identity, so it is not rotated at all.  A
     factor is rotated, and the result keeps it with the input's
     factor_error.  A dense result is a unitary conjugate of a validated

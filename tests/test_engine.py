@@ -620,8 +620,6 @@ def test_inequivalent_degenerate_pair_stays_indeterminate():
         ("tol", 0.0),
         ("tol", -1e-9),
         ("tol", float("nan")),
-        ("degeneracy_tol", 0.0),
-        ("degeneracy_tol", -1.0),
         ("fallback_restarts", 0),
     ],
 )

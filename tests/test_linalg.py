@@ -11,7 +11,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from luequiv.linalg import (
-    DEGENERACY_TOL,
     apply_local,
     conjugate_local,
     dagger,
@@ -141,7 +140,6 @@ def test_eig_2x2_bloch_x():
     rho = (I2 + 0.8 * SX) / 2
     pair = eig_hermitian_2x2(rho)
     assert np.allclose(pair.eigenvalues, [0.9, 0.1], atol=1e-14)
-    assert not pair.degenerate
     s = 2 ** -0.5
     assert np.allclose(np.abs(pair.vectors[:, 0]), [s, s], atol=1e-14)
     assert np.allclose(np.abs(pair.vectors[:, 1]), [s, s], atol=1e-14)
@@ -159,10 +157,12 @@ def test_eig_2x2_diagonal_inputs():
     assert np.allclose(np.abs(down.vectors), SX.real)
 
 
-def test_eig_2x2_degenerate_flag():
+def test_eig_2x2_maximally_mixed():
+    # a zero gap is no special case here: which qubit counts as mixed is
+    # decided in traceform.local_eigenframes
     pair = eig_hermitian_2x2(I2 / 2)
-    assert pair.degenerate
-    assert np.allclose(pair.eigenvalues, [0.5, 0.5])
+    assert np.array_equal(pair.eigenvalues, [0.5, 0.5])
+    assert np.array_equal(pair.vectors, I2)
 
 
 def test_eig_2x2_phase_convention():
@@ -284,7 +284,7 @@ def eigen_corpus() -> np.ndarray:
     Groups of five: random, the same with c set to a, diagonal, and both of
     the first two scaled to denormals (indices 0..99).  Then ten matrices
     each with an eigenvalue gap of 0.5, 0.9, 0.99, 1.01, 1.1 and 2 times
-    DEGENERACY_TOL (100..159), and the zero matrix (160).
+    1e-10 (100..159), and the zero matrix (160).
     """
     rng = np.random.Generator(np.random.Philox(2718))
     mats = []
@@ -298,21 +298,11 @@ def eigen_corpus() -> np.ndarray:
         for _ in range(10):
             q, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
             center = rng.uniform(0.05, 0.95)
-            gap = ratio * DEGENERACY_TOL
+            gap = ratio * 1e-10
             h = q @ np.diag([center + gap / 2, center - gap / 2]) @ q.conj().T
             mats.append(0.5 * (h + h.conj().T))
     mats.append(np.zeros((2, 2), dtype=complex))
     return np.array(mats)
-
-
-# The flags the earlier vectorized closed form gave on eigen_corpus: every
-# denormal matrix, every gap below DEGENERACY_TOL and the zero matrix.
-PINNED_DEGENERATE = [i for i in range(100) if i % 5 in (3, 4)] + list(range(100, 130)) + [160]
-
-
-def test_eig_batch_degeneracy_flags_are_pinned():
-    _, _, degenerate = eig_hermitian_2x2_batch(eigen_corpus())
-    assert np.flatnonzero(degenerate).tolist() == PINNED_DEGENERATE
 
 
 def test_eig_batch_eigenvalues_match_eigh():
@@ -320,14 +310,14 @@ def test_eig_batch_eigenvalues_match_eigh():
     # is allowed on top of the relative bound
     sub = np.nextafter(0.0, 1.0)
     corpus = eigen_corpus()
-    values, _, _ = eig_hermitian_2x2_batch(corpus)
+    values, _ = eig_hermitian_2x2_batch(corpus)
     for h, got in zip(corpus, values):
         want = np.linalg.eigh(h)[0][::-1]
         assert np.all(np.abs(got - want) <= 1e-15 * np.abs(h).max() + 2 * sub)
 
 
 def test_eig_batch_frames_are_unitary_and_phase_fixed():
-    _, frames, _ = eig_hermitian_2x2_batch(eigen_corpus())
+    _, frames = eig_hermitian_2x2_batch(eigen_corpus())
     for v in frames:
         assert np.abs(v.conj().T @ v - I2).max() <= 1e-15
         for col in v.T:
@@ -340,14 +330,13 @@ def test_eig_batch_frames_are_unitary_and_phase_fixed():
 
 def test_eig_batch_matches_single_matrix_calls():
     corpus = eigen_corpus()
-    values, frames, degenerate = eig_hermitian_2x2_batch(list(corpus))
+    values, frames = eig_hermitian_2x2_batch(list(corpus))
     assert values.shape == (len(corpus), 2) and frames.shape == (len(corpus), 2, 2)
-    for h, lam, v, flag in zip(corpus, values, frames, degenerate):
+    for h, lam, v in zip(corpus, values, frames):
         pair = eig_hermitian_2x2(h)
         assert np.array_equal(pair.eigenvalues, lam) and np.array_equal(pair.vectors, v)
-        assert pair.degenerate == flag
     empty = eig_hermitian_2x2_batch(np.zeros((0, 2, 2)))
-    assert [x.shape for x in empty] == [(0, 2), (0, 2, 2), (0,)]
+    assert [x.shape for x in empty] == [(0, 2), (0, 2, 2)]
     with pytest.raises(ValueError):
         eig_hermitian_2x2_batch(np.zeros((3, 2)))
     skewed = corpus[:3].copy()

@@ -15,6 +15,7 @@ from luequiv import (
     sha256_digest,
     verdict_report,
 )
+from luequiv.traceform import mixed_gap
 from tests.conftest import bell_state, lu_equivalent_pair
 
 
@@ -101,11 +102,15 @@ def test_verdict_report_structure():
     config = EngineConfig()
     verdict = decide_lu_equivalence(state, rotated, config)
     report = verdict_report(verdict, config, inputs={"a": "sha256:x", "b": "sha256:y"})
-    assert report["schema"] == 2
+    assert report["schema"] == 3
     assert report["verdict"] == "equivalent"
     assert report["residual"] < 1e-9
     assert len(report["witness"]) == 2
-    assert report["tolerances"]["tol"] == config.tol
+    assert report["tolerances"] == {"tol": config.tol}
+    # the mixed-qubit threshold applied, next to the pair's smallest eigenvalue gap
+    diagnostics = report["diagnostics"]
+    assert diagnostics["mixed_gap"] == mixed_gap(2, config.tol, 0.0)
+    assert diagnostics["min_eigen_gap"] > diagnostics["mixed_gap"]
     assert report["inputs"]["a"] == "sha256:x"
     # must be JSON clean
     json.dumps(report)

@@ -11,6 +11,8 @@ from luequiv import (
     to_trace_form,
     validate_state,
 )
+from luequiv.oracle import apply_local_unitaries, haar_local_unitary
+from luequiv.traceform import DEFAULT_TOL, mixed_gap
 from tests.conftest import (
     ghz_state,
     lu_equivalent_pair,
@@ -85,6 +87,32 @@ def test_ghz_frames_flag_maximally_mixed():
     for frame in tf.frames:
         assert np.allclose(frame.v, np.eye(2))
     assert np.allclose(tf.state.matrix, ghz_state(3).matrix)
+
+
+def test_mixed_gap_follows_tol_n_and_factor_errors():
+    u = np.finfo(float).eps
+    assert mixed_gap(3, 1e-9, 0.0) == 8 * u / 1e-9
+    assert mixed_gap(3, 1e-12, 0.0) == pytest.approx(1000 * mixed_gap(3, 1e-9, 0.0), rel=1e-15)
+    # a factor error counts at the partial-trace bound 2^((n-1)/2)
+    assert mixed_gap(5, 1e-9, 1e-14) == pytest.approx((8 * u + 4 * 1e-14) / 1e-9, rel=1e-15)
+
+
+@pytest.mark.parametrize("eps,mixed_by_default", [(1e-9, True), (1e-7, True), (1e-5, False)])
+def test_qubits_below_the_gap_are_mixed(eps, mixed_by_default):
+    # cos t |00> + sin t |11> at t = pi/4 - eps/2, both marginal gaps
+    # sin(eps), turned off the computational frames
+    state = apply_local_unitaries(
+        schmidt_state(np.pi / 4 - eps / 2), [haar_local_unitary(k) for k in (3, 4)]
+    )
+    gap = float(np.sin(eps))
+    for threshold, mixed in ((gap * 0.99, False), (gap * 1.01, True)):
+        for frame in local_eigenframes(state, threshold):
+            assert frame.maximally_mixed == mixed
+            assert mixed == np.array_equal(frame.v, np.eye(2))
+    # without a gap, the state alone is read at the default tol: 1.8e-6
+    assert mixed_gap(2, DEFAULT_TOL, 0.0) == pytest.approx(1.776e-6, rel=1e-3)
+    for frames in (local_eigenframes(state), to_trace_form(state).frames):
+        assert [f.maximally_mixed for f in frames] == [mixed_by_default] * 2
 
 
 def test_trace_form_deterministic():
